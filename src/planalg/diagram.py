@@ -216,7 +216,25 @@ class LabeledDiagram:
         seen = sorted(x for p in pairs for x in p)
         if len(pairs) != n or seen != list(range(1, 2 * n + 1)):
             raise ValueError(f"strands do not cover points 1..{2 * n}: {text!r}")
+        if not _non_crossing(pairs):
+            raise ValueError(f"strands cross: {text!r}")
         return cls(tuple(pairs), tuple(labels[p] for p in pairs))
+
+
+def _non_crossing(matching) -> bool:
+    """True when the perfect matching of 1..2n has no two crossing strands.
+
+    Walking the points in order, every strand must close the most
+    recently opened strand that is still open.
+    """
+    partner = partner_map(matching)
+    open_points = []
+    for p in range(1, 2 * len(matching) + 1):
+        if partner[p] > p:
+            open_points.append(p)
+        elif open_points.pop() != partner[p]:
+            return False
+    return True
 
 
 def identity_matching(n: int) -> tuple:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterGroup, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
 from .hecke import hecke
-from .laurent import Laurent, ONE, ZERO
+from .laurent import Laurent, ONE, addmul, collect
 from .planar import Context, Element, fusion_twist, is_exposed
 from .table_algebra import TableAlgebra
 from .tl import TL, tl
@@ -203,9 +203,7 @@ class DiagramEmbedding:
             if left != right:
                 raise AssertionError(f"braid relation fails at pair ({s},{t})")
         for s, t in self.g.bond_pairs():
-            total = self.ctx.zero()
-            for w in self.tl.dihedral_members(s, t):
-                total = total + self.t_image(w)
+            total = self.rho_hecke(dict.fromkeys(self.tl.dihedral_members(s, t), 1))
             if not total.is_zero():
                 raise AssertionError(f"ideal generator for ({s},{t}) does not vanish")
 
@@ -225,17 +223,16 @@ class DiagramEmbedding:
 
     def rho_hecke(self, x: dict) -> Element:
         """Image of a Hecke element in the T-basis (group-indexed)."""
-        total = self.ctx.zero()
+        rows: dict = {}
         for w, c in x.items():
-            total = total + self.t_image(w).scale(c)
-        return total
+            for d, e in self.t_image(w).terms.items():
+                addmul(rows, d, e, c)
+        return Element._raw(self.ctx, collect(rows))
 
     def rho(self, x: dict) -> Element:
         """Image of a quotient element in the t-basis (position-keyed)."""
-        total = self.ctx.zero()
-        for k, c in x.items():
-            total = total + self.t_image(self.tl.wc[k]).scale(c)
-        return total
+        wc = self.tl.wc
+        return self.rho_hecke({wc[k]: c for k, c in x.items()})
 
     def rho_canonical(self, w: int) -> Element:
         return self.rho(self.tl.canonical_t(w))

@@ -27,20 +27,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
-from .laurent import Laurent, ONE, ZERO
+from .laurent import Laurent, ONE, ZERO, addmul, collect, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
 _Q_MINUS_1 = _Q - ONE
 _QINV_MINUS_1 = _QINV - ONE
-
-
-def _add_into(acc: dict, w: int, c) -> None:
-    s = acc.get(w, ZERO) + c
-    if s:
-        acc[w] = s
-    else:
-        acc.pop(w, None)
 
 
 def ic_solve(count: int, bar_row) -> list:
@@ -61,9 +53,10 @@ def ic_solve(count: int, bar_row) -> list:
         correction: dict = {}
         for z, c in bar_row(w).items():
             if z != w:
-                _add_into(correction, z, c)
+                addmul(correction, z, c)
         for z in range(w - 1, -1, -1):
-            kz = correction.get(z)
+            # bar only mixes z with earlier elements, so row z is final.
+            kz = take(correction, z)
             if not kz:
                 continue
             if not kz.is_bar_antisymmetric():
@@ -77,7 +70,7 @@ def ic_solve(count: int, bar_row) -> list:
             bz = pz.bar()
             for zz, c in bar_row(z).items():
                 if zz != z:
-                    _add_into(correction, zz, bz * c)
+                    addmul(correction, zz, bz, c)
         table.append(p)
     return table
 
@@ -102,15 +95,15 @@ class Hecke:
     def mul_gen(self, x: dict, s: int) -> dict:
         """Right multiplication x * T_s."""
         g = self.g
-        out: dict = {}
+        rows: dict = {}
         for w, c in x.items():
             ws = g.right[w][s]
             if g.lengths[ws] > g.lengths[w]:
-                _add_into(out, ws, c)
+                addmul(rows, ws, c)
             else:
-                _add_into(out, ws, c * _Q)
-                _add_into(out, w, c * _Q_MINUS_1)
-        return out
+                addmul(rows, ws, c, _Q)
+                addmul(rows, w, c, _Q_MINUS_1)
+        return collect(rows)
 
     def mul_t(self, x: dict, w: int) -> dict:
         """Right multiplication x * T_w along a reduced word of w."""
@@ -119,20 +112,11 @@ class Hecke:
         return x
 
     def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
+        rows: dict = {}
         for w, c in y.items():
             for z, d in self.mul_t(x, w).items():
-                _add_into(out, z, c * d)
-        return out
-
-    def scale(self, x: dict, c) -> dict:
-        return {w: d * c for w, d in x.items()} if c else {}
-
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for w, c in y.items():
-            _add_into(out, w, c)
-        return out
+                addmul(rows, z, d, c)
+        return collect(rows)
 
     # -- bar involution ---------------------------------------------------
 
@@ -157,20 +141,19 @@ class Hecke:
         return self._bar_t[w]
 
     def bar(self, x: dict) -> dict:
-        out: dict = {}
+        rows: dict = {}
         for w, c in x.items():
-            cb = c.bar() if isinstance(c, Laurent) else Laurent(c)
+            cb = c.bar() if isinstance(c, Laurent) else c
             for z, d in self.bar_t(w).items():
-                _add_into(out, z, cb * d)
-        return out
+                addmul(rows, z, d, cb)
+        return collect(rows)
 
     # -- Kazhdan-Lusztig basis ---------------------------------------------
 
     def _unit_bar_row(self, y: int) -> dict:
         ly = self.g.lengths[y]
         return {
-            z: c * Laurent.v_power(ly + self.g.lengths[z])
-            for z, c in self.bar_t(y).items()
+            z: c.shift(ly + self.g.lengths[z]) for z, c in self.bar_t(y).items()
         }
 
     def cprime_unit(self, w: int) -> dict:
@@ -189,21 +172,24 @@ class Hecke:
         True
         """
         return {
-            y: c * Laurent.v_power(-self.g.lengths[y])
-            for y, c in self.cprime_unit(w).items()
+            y: c.shift(-self.g.lengths[y]) for y, c in self.cprime_unit(w).items()
         }
 
     def to_cprime(self, x: dict) -> dict:
         """Coordinates of x in the C'-basis (triangular substitution)."""
-        unit = {y: c * Laurent.v_power(self.g.lengths[y]) for y, c in x.items()}
+        unit: dict = {}
+        for y, c in x.items():
+            addmul(unit, y, c, Laurent.v_power(self.g.lengths[y]))
         out: dict = {}
         for y in range(self.g.order - 1, -1, -1):
-            c = unit.get(y)
+            c = take(unit, y)
             if not c:
                 continue
             out[y] = c
+            neg = -c
             for z, d in self.cprime_unit(y).items():
-                _add_into(unit, z, -(c * d))
+                if z != y:
+                    addmul(unit, z, neg, d)
         return out
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:

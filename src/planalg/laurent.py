@@ -4,7 +4,36 @@ This is the coefficient ring for everything in this package: structure
 constants, loop scalars, traces, canonical-basis coefficients.  Elements
 are stored sparsely as ``{exponent: coefficient}`` with no zero values.
 The ring carries the involution ``bar : v -> v^-1`` and the
-distinguished element ``delta = v + v^-1``.
+distinguished element ``delta = v + v^-1``.  Exponents and coefficients
+are exact integers; anything that is not ``numbers.Integral`` is
+refused with ``TypeError`` rather than truncated.
+
+Sparse combinations ``sum_k c_k x_k`` with Laurent coefficients are built
+with one accumulation kernel instead of ``acc[k] = acc.get(k) + c * d``,
+which would allocate a product, copy the accumulated dict and wrap it
+again for every term.  A combination under construction is a dict
+``rows = {key: {exponent: int}}`` of *private rows*:
+
+* :func:`addmul` adds ``a * b`` (or ``a``, or ``a`` times an integer)
+  into ``rows[key]`` in place;
+* :func:`take` removes one row and returns it as a clean ``Laurent``;
+* :func:`collect` returns ``{key: Laurent}`` for all rows.
+
+Rows may hold zero coefficients (and may be empty) while they are
+being built; ``take`` and ``collect`` strip them, so every ``Laurent``
+that leaves the kernel has no zero entry, which ``==`` and ``hash``
+rely on.  Rows are created by the kernel and never alias the ``_c`` of
+a ``Laurent``: the kernel reads its operands and never mutates them,
+and the values it returns are fresh, so shared constants such as
+``ONE``, ``ZERO`` and ``DELTA`` stay intact.
+
+>>> rows = {}
+>>> addmul(rows, "x", V, DELTA)
+>>> addmul(rows, "x", ONE, -1)
+>>> addmul(rows, "y", V)
+>>> addmul(rows, "y", V, -1)
+>>> collect(rows)
+{'x': Laurent('v^2')}
 
 Also defined here is the quadratic field Q(sqrt 2), used by the rank-3
 to rank-2 fusion homomorphism.
@@ -25,6 +54,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Integral
+from operator import index
 
 
 class Laurent:
@@ -51,12 +82,19 @@ class Laurent:
     def __init__(self, data: "int | dict | str | Laurent" = 0):
         if isinstance(data, Laurent):
             object.__setattr__(self, "_c", data._c)
-        elif isinstance(data, int):
-            object.__setattr__(self, "_c", {0: data} if data else {})
+        elif isinstance(data, Integral):
+            object.__setattr__(self, "_c", {0: int(data)} if data else {})
         elif isinstance(data, dict):
-            object.__setattr__(
-                self, "_c", {int(e): int(c) for e, c in data.items() if c}
-            )
+            coeffs = {}
+            for e, c in data.items():
+                if not isinstance(e, Integral) or not isinstance(c, Integral):
+                    raise TypeError(
+                        f"Laurent exponents and coefficients must be integers, "
+                        f"got {e!r}: {c!r}"
+                    )
+                if c:
+                    coeffs[int(e)] = int(c)
+            object.__setattr__(self, "_c", coeffs)
         elif isinstance(data, str):
             object.__setattr__(self, "_c", Laurent.parse(data)._c)
         else:
@@ -72,7 +110,7 @@ class Laurent:
     @classmethod
     def v_power(cls, k: int) -> "Laurent":
         """The monomial v^k."""
-        return cls._raw({int(k): 1})
+        return cls._raw({index(k): 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -316,6 +354,55 @@ def vneg_congruent(a, b) -> bool:
     """
     d = (_coerce(a) - _coerce(b)).degree()
     return d is None or d < 0
+
+
+# -- the accumulation kernel ----------------------------------------------------
+
+
+def addmul(rows: dict, key, a, b=None) -> None:
+    """Add ``a * b`` into the private row ``rows[key]``, in place.
+
+    ``a`` is a Laurent (or an integer); ``b`` is a Laurent, an integer,
+    or None for ``a`` alone.  Neither operand is modified.
+    """
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = {}
+    if type(a) is not Laurent:
+        a = Laurent(a)
+    get = row.get
+    if b is None:
+        for e, x in a._c.items():
+            row[e] = get(e, 0) + x
+    elif type(b) is Laurent:
+        terms = b._c.items()
+        for e1, x1 in a._c.items():
+            for e2, x2 in terms:
+                e = e1 + e2
+                row[e] = get(e, 0) + x1 * x2
+    else:
+        b = index(b)
+        if b:
+            for e, x in a._c.items():
+                row[e] = get(e, 0) + x * b
+
+
+def take(rows: dict, key) -> Laurent:
+    """Remove the row ``rows[key]`` and return it as a clean Laurent."""
+    row = rows.pop(key, None)
+    if not row:
+        return ZERO
+    return Laurent._raw({e: x for e, x in row.items() if x})
+
+
+def collect(rows: dict) -> dict:
+    """``{key: Laurent}`` for the rows, without zero rows or coefficients."""
+    out = {}
+    for key, row in rows.items():
+        coeffs = {e: x for e, x in row.items() if x}
+        if coeffs:
+            out[key] = Laurent._raw(coeffs)
+    return out
 
 
 class QSqrt2:

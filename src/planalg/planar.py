@@ -44,7 +44,7 @@ from .diagram import (
     tensor_matched,
     _pair,
 )
-from .laurent import DELTA, Laurent, ONE, ZERO
+from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, take
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 from .verlinde import w_multiply
 
@@ -94,10 +94,21 @@ class Context:
             self, {identity_diagram(self.n, self.alg.identity): DELTA}
         )
 
-    def basis_element(self, diagram: LabeledDiagram) -> "Element":
+    def _check_diagram(self, diagram: LabeledDiagram) -> None:
+        """Raise ValueError unless the diagram has n strands and every
+        label is a basis index of the label algebra."""
         if diagram.n != self.n:
-            raise ValueError("diagram size does not match context")
-        return Element(self, {diagram: ONE})
+            raise ValueError(
+                f"diagram size n={diagram.n} does not match context n={self.n}"
+            )
+        rank = self.alg.rank
+        for label in diagram.labels:
+            if not 0 <= label < rank:
+                raise ValueError(f"label {label} is outside 0..{rank - 1}")
+
+    def basis_element(self, diagram: LabeledDiagram) -> "Element":
+        self._check_diagram(diagram)
+        return Element._raw(self, {diagram: ONE})
 
     def e_element(self, k: int, label: int) -> "Element":
         d = e_diagram(self.n, k, label, self.alg.inv, self.alg.identity)
@@ -106,7 +117,7 @@ class Context:
     def from_text(self, text: str) -> "Element":
         """Parse the element format written by :meth:`Element.to_text`."""
         text = text.strip()
-        terms: dict = {}
+        rows: dict = {}
         if text == "0":
             return self.zero()
         for raw in text.splitlines():
@@ -117,8 +128,12 @@ class Context:
             if not sep:
                 raise ValueError(f"element line needs '<coeff> * <diagram>': {raw!r}")
             d = LabeledDiagram.from_text(diag_s)
-            terms[d] = terms.get(d, ZERO) + Laurent.parse(coeff_s)
-        return Element(self, terms)
+            try:
+                self._check_diagram(d)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {raw!r}") from None
+            addmul(rows, d, Laurent.parse(coeff_s))
+        return Element._raw(self, collect(rows))
 
 
 def fuse(alg: TableAlgebra, segments, lmap_top: dict, lmap_bot: dict) -> dict:
@@ -138,8 +153,28 @@ def fuse(alg: TableAlgebra, segments, lmap_top: dict, lmap_bot: dict) -> dict:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _delta_power(k: int) -> Laurent:
+    """The scalar delta^k of k closed loops."""
+    return DELTA**k
+
+
+def _loop_trace(alg: TableAlgebra, loops, lm_top: dict, lm_bot: dict) -> int:
+    """Product over the loops of t(fused loop label); 0 once one vanishes."""
+    t = 1
+    for loop in loops:
+        t *= fuse(alg, loop, lm_top, lm_bot).get(alg.identity, 0)
+        if not t:
+            break
+    return t
+
+
 def diagram_product(ctx: Context, top: LabeledDiagram, bot: LabeledDiagram) -> dict:
-    """Product of two basis diagrams as {diagram: Laurent}."""
+    """Product of two basis diagrams as {diagram: Laurent}.
+
+    The loop scalars are carried as an integer times delta^(loops) and
+    multiplied out once per composite diagram.
+    """
     key = (top, bot)
     hit = ctx._prod.get(key)
     if hit is not None:
@@ -147,29 +182,20 @@ def diagram_product(ctx: Context, top: LabeledDiagram, bot: LabeledDiagram) -> d
     alg = ctx.alg
     stacked = stack_matchings(top.matching, bot.matching)
     lm_top, lm_bot = top.label_map(), bot.label_map()
-    scalar = ONE
-    for loop in stacked.loops:
-        fused = fuse(alg, loop, lm_top, lm_bot)
-        t = fused.get(alg.identity, 0)
-        if not t:
-            ctx._prod[key] = {}
-            return {}
-        scalar = scalar * (DELTA * t)
-    strand_elements = [
-        sorted(fuse(alg, segs, lm_top, lm_bot).items()) for segs in stacked.paths
-    ]
-    out: dict = {}
-    for choice in itertools.product(*strand_elements):
-        labels = tuple(l for l, _ in choice)
-        coeff = scalar
-        for _, c in choice:
-            coeff = coeff * c
-        d = LabeledDiagram(stacked.matching, labels)
-        acc = out.get(d, ZERO) + coeff
-        if acc:
-            out[d] = acc
-        else:
-            del out[d]
+    loop_t = _loop_trace(alg, stacked.loops, lm_top, lm_bot)
+    rows: dict = {}
+    if loop_t:
+        scalar = _delta_power(len(stacked.loops))
+        strand_elements = [
+            sorted(fuse(alg, segs, lm_top, lm_bot).items()) for segs in stacked.paths
+        ]
+        for choice in itertools.product(*strand_elements):
+            coeff = loop_t
+            for _, c in choice:
+                coeff *= c
+            d = LabeledDiagram(stacked.matching, tuple(l for l, _ in choice))
+            addmul(rows, d, scalar, coeff)
+    out = collect(rows)
     ctx._prod[key] = out
     return out
 
@@ -178,8 +204,8 @@ def diagram_product(ctx: Context, top: LabeledDiagram, bot: LabeledDiagram) -> d
 def closure_loops(matching: tuple) -> tuple:
     """Loop decomposition of a diagram closed by arcs i -- 2n+1-i.
 
-    Each loop is a tuple of (pair, against) segments, starting from the
-    smallest point not yet visited.
+    Each loop is a tuple of segments (0, pair, against) in the form
+    :func:`fuse` reads, starting from the smallest point not yet visited.
     """
     n2 = 2 * len(matching)
     partner = partner_map(matching)
@@ -193,7 +219,7 @@ def closure_loops(matching: tuple) -> tuple:
         while True:
             q = partner[p]
             seen.update((p, q))
-            segs.append((_pair(p, q), p % 2 == 1))
+            segs.append((0, _pair(p, q), p % 2 == 1))
             p = n2 + 1 - q  # the closure arc from q
             if p == start:
                 break
@@ -206,21 +232,10 @@ def trace_of_diagram(ctx: Context, d: LabeledDiagram) -> Laurent:
     hit = ctx._trace.get(d)
     if hit is not None:
         return hit
-    alg = ctx.alg
     lmap = d.label_map()
-    total = ONE
-    for loop in closure_loops(d.matching):
-        acc = {alg.identity: 1}
-        for pr, against in loop:
-            l = lmap[pr]
-            if against:
-                l = alg.inv[l]
-            acc = alg.mul({l: 1}, acc)
-        t = acc.get(alg.identity, 0)
-        if not t:
-            total = ZERO
-            break
-        total = total * (DELTA * t)
+    loops = closure_loops(d.matching)
+    t = _loop_trace(ctx.alg, loops, lmap, lmap)
+    total = _delta_power(len(loops)) * t if t else ZERO
     ctx._trace[d] = total
     return total
 
@@ -248,6 +263,14 @@ class Element:
         self.ctx = ctx
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, ctx: Context, terms: dict) -> "Element":
+        """Wrap terms already in clean form (nonzero Laurent values)."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -258,21 +281,22 @@ class Element:
         return self.terms.get(d, ZERO)
 
     def _check_ctx(self, other: "Element"):
-        if self.ctx.n != other.ctx.n or self.ctx.alg is not other.ctx.alg:
-            if self.ctx.alg != other.ctx.alg:
-                raise ValueError("elements live in different contexts")
+        a, b = self.ctx, other.ctx
+        if a is not b and (a.n != b.n or a.alg != b.alg):
+            raise ValueError("elements live in different contexts")
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         self._check_ctx(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, ZERO) + c
-        return Element(self.ctx, out)
+        rows: dict = {}
+        for terms in (self.terms, other.terms):
+            for d, c in terms.items():
+                addmul(rows, d, c)
+        return Element._raw(self.ctx, collect(rows))
 
     def __neg__(self):
-        return Element(self.ctx, {d: -c for d, c in self.terms.items()})
+        return Element._raw(self.ctx, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -285,17 +309,17 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_ctx(other)
-        out: dict = {}
+        ctx = self.ctx
+        rows: dict = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
+                prod = diagram_product(ctx, d1, d2)
+                if not prod:
+                    continue
                 c = c1 * c2
-                for d, k in diagram_product(self.ctx, d1, d2).items():
-                    acc = out.get(d, ZERO) + c * k
-                    if acc:
-                        out[d] = acc
-                    else:
-                        del out[d]
-        return Element(self.ctx, out)
+                for d, k in prod.items():
+                    addmul(rows, d, c, k)
+        return Element._raw(ctx, collect(rows))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -322,17 +346,17 @@ class Element:
     def star(self) -> "Element":
         """The anti-involution: flip vertically, involute labels, bar v."""
         inv = self.ctx.alg.inv
-        return Element(
+        return Element._raw(
             self.ctx,
             {star_diagram(d, inv): c.bar() for d, c in self.terms.items()},
         )
 
     def trace(self) -> Laurent:
         """Closure trace tr: close each diagram with nested arcs i -- 2n+1-i."""
-        total = ZERO
+        rows: dict = {}
         for d, c in self.terms.items():
-            total = total + c * trace_of_diagram(self.ctx, d)
-        return total
+            addmul(rows, 0, c, trace_of_diagram(self.ctx, d))
+        return take(rows, 0)
 
     def tau(self) -> Laurent:
         """The normalized trace tau = v^-n tr."""
@@ -370,16 +394,15 @@ def fusion_twist(x: Element) -> Element:
     """
     ctx = x.ctx
     alg = ctx.alg
-    out: dict = {}
+    rows: dict = {}
     for d, c in x.terms.items():
         kinds = edge_kinds(d.matching)
         labels = tuple(
             w_multiply(alg, l) if kinds[p].transitional else l
             for p, l in zip(d.matching, d.labels)
         )
-        d2 = LabeledDiagram(d.matching, labels)
-        out[d2] = out.get(d2, ZERO) + c
-    return Element(ctx, out)
+        addmul(rows, LabeledDiagram(d.matching, labels), c)
+    return Element._raw(ctx, collect(rows))
 
 
 def tensor_elements(x: Element, y: Element, target: Context) -> Element:
@@ -391,16 +414,11 @@ def tensor_elements(x: Element, y: Element, target: Context) -> Element:
     if target.n != x.ctx.n + y.ctx.n or target.alg != x.ctx.alg or target.alg != y.ctx.alg:
         raise ValueError("target context does not match the juxtaposition")
     inv = target.alg.inv
-    out: dict = {}
+    rows: dict = {}
     for d1, c1 in x.terms.items():
         for d2, c2 in y.terms.items():
-            d = tensor_matched(d1, d2, inv)
-            acc = out.get(d, ZERO) + c1 * c2
-            if acc:
-                out[d] = acc
-            else:
-                del out[d]
-    return Element(target, out)
+            addmul(rows, tensor_matched(d1, d2, inv), c1, c2)
+    return Element._raw(target, collect(rows))
 
 
 def p_tensor_embed(ctx: Context, indices: tuple) -> LabeledDiagram:

@@ -29,7 +29,9 @@ from .embed import (
     rho_build,
     rho_verify_bijection,
 )
-from .laurent import DELTA, Laurent, ONE, QSqrt2, SQRT2, ZERO, vneg_congruent
+from .laurent import (
+    DELTA, Laurent, ONE, QSqrt2, SQRT2, addmul, take, vneg_congruent,
+)
 from .planar import Context, is_exposed, verify_tensor_iso
 from .table_algebra import check_algebra
 from .tabular import datum_build, prop434_test
@@ -262,10 +264,10 @@ def _form_fixture(variant, fam, rank, m):
 
     def form(x, y):
         ystar = {q.pos[q.g.inverse[q.wc[k]]]: c for k, c in y.items()}
-        acc = ZERO
+        rows: dict = {}
         for k, c in q.mul(x, ystar).items():
-            acc = acc + c * tau_rho[k]
-        return acc
+            addmul(rows, 0, c, tau_rho[k])
+        return take(rows, 0)
 
     return rep, emb, q, form
 

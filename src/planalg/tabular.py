@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 
 from .diagram import HalfDiagram, half_arcs, half_join, half_split, star_diagram
-from .laurent import Laurent, ONE, ZERO, vneg_congruent
+from .laurent import Laurent, ONE, ZERO, addmul, take, vneg_congruent
 from .planar import Context, Element, diagram_product, trace_of_diagram
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 
@@ -175,6 +175,14 @@ class TabularDatum:
         i, j, k = self.index[x], self.index[y], self.index[z]
         return self.g_constant(i, j, k).coeff(self.a_vals[k])
 
+    def _tau_product(self, i: int, j: int) -> Laurent:
+        """tau(basis[i] . basis[j]) through the product table."""
+        tau = self.tau_vector()
+        rows: dict = {}
+        for k, g in self.product(i, j).items():
+            addmul(rows, 0, g, tau[k])
+        return take(rows, 0)
+
     def tau_vector(self) -> list:
         if self._tau is None:
             scale = Laurent.v_power(-self.ctx.n)
@@ -192,11 +200,7 @@ class TabularDatum:
     def form_basis(self, i: int, j: int) -> Laurent:
         """(basis[i], basis[j]) computed through the product table."""
         js = self.index[star_diagram(self.basis[j], self.ctx.alg.inv)]
-        tau = self.tau_vector()
-        total = ZERO
-        for k, g in self.product(i, js).items():
-            total = total + g * tau[k]
-        return total
+        return self._tau_product(i, js)
 
     def almost_orthonormal(self, pairs=None) -> bool:
         """(X, X') = [X = X'] modulo v^-1 Z[v^-1] over basis pairs."""
@@ -372,12 +376,7 @@ class TabularDatum:
                 witnesses.append(("A5", "tau(x) != tau(x*)", self.basis[k]))
                 ok = False
         for i, j in pairs:
-            left = right = ZERO
-            for k, g in self.product(i, j).items():
-                left = left + g * tau[k]
-            for k, g in self.product(j, i).items():
-                right = right + g * tau[k]
-            if left != right:
+            if self._tau_product(i, j) != self._tau_product(j, i):
                 witnesses.append(("A5", "tau(xy) != tau(yx)", i, j))
                 ok = False
         return ok

@@ -36,8 +36,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
-from .hecke import Hecke, hecke, ic_solve, _add_into
-from .laurent import Laurent, ONE, ZERO, V_INV
+from .hecke import Hecke, hecke, ic_solve
+from .laurent import Laurent, ONE, V_INV, addmul, collect, take
 
 
 class TL:
@@ -72,14 +72,14 @@ class TL:
             if y in self.pos:
                 table.append({self.pos[y]: ONE})
                 continue
-            acc: dict = {}
+            rows: dict = {}
             for z, p in self.h.cprime_unit(y).items():
                 if z == y:
                     continue
-                c = -(p * Laurent.v_power(g.lengths[y] - g.lengths[z]))
+                c = -p.shift(g.lengths[y] - g.lengths[z])
                 for k, d in table[z].items():
-                    _add_into(acc, k, c * d)
-            table.append(acc)
+                    addmul(rows, k, c, d)
+            table.append(collect(rows))
         return table
 
     def _verify_quotient(self) -> None:
@@ -137,20 +137,24 @@ class TL:
 
     def theta(self, x: dict) -> dict:
         """Image in the quotient of a Hecke element in the T-basis."""
-        out: dict = {}
+        rows: dict = {}
         for y, c in x.items():
             for k, d in self._theta_t[y].items():
-                _add_into(out, k, c * d)
-        return out
+                addmul(rows, k, d, c)
+        return collect(rows)
 
     def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, c in y.items():
-            _add_into(out, k, c)
-        return out
+        rows: dict = {}
+        for z in (x, y):
+            for k, c in z.items():
+                addmul(rows, k, c)
+        return collect(rows)
 
     def scale(self, x: dict, c) -> dict:
-        return {k: d * c for k, d in x.items()} if c else {}
+        rows: dict = {}
+        for k, d in x.items():
+            addmul(rows, k, d, c)
+        return collect(rows)
 
     # -- multiplication ------------------------------------------------------
 
@@ -165,13 +169,13 @@ class TL:
         return got
 
     def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
+        rows: dict = {}
         for ku, c in x.items():
             for kw, d in y.items():
                 cd = c * d
                 for k, e in self.t_mul(ku, kw).items():
-                    _add_into(out, k, cd * e)
-        return out
+                    addmul(rows, k, e, cd)
+        return collect(rows)
 
     # -- bar and star ----------------------------------------------------------
 
@@ -179,12 +183,12 @@ class TL:
         """The bar involution, descended from the Hecke algebra."""
         if self._bar_t is None:
             self._bar_t = [self.theta(self.h.bar_t(w)) for w in self.wc]
-        out: dict = {}
+        rows: dict = {}
         for k, c in x.items():
-            cb = c.bar() if isinstance(c, Laurent) else Laurent(c)
+            cb = c.bar() if isinstance(c, Laurent) else c
             for z, d in self._bar_t[k].items():
-                _add_into(out, z, cb * d)
-        return out
+                addmul(rows, z, d, cb)
+        return collect(rows)
 
     def star(self, x: dict) -> dict:
         """The anti-automorphism sending t_w to t_{w inverse}."""
@@ -199,7 +203,7 @@ class TL:
             for k in range(self.rank):
                 ly = g.lengths[self.wc[k]]
                 row = {
-                    z: c * Laurent.v_power(ly + g.lengths[self.wc[z]])
+                    z: c.shift(ly + g.lengths[self.wc[z]])
                     for z, c in self.bar(self.t(self.wc[k])).items()
                 }
                 rows.append(row)
@@ -218,24 +222,27 @@ class TL:
         True
         """
         return {
-            k: c * Laurent.v_power(-self.g.lengths[self.wc[k]])
+            k: c.shift(-self.g.lengths[self.wc[k]])
             for k, c in self.canonical_unit(w).items()
         }
 
     def to_canonical(self, x: dict) -> dict:
         """Coordinates of x in the canonical basis, keyed by position."""
         g = self.g
-        unit = {
-            k: c * Laurent.v_power(g.lengths[self.wc[k]]) for k, c in x.items()
-        }
+        unit: dict = {}
+        for k, c in x.items():
+            addmul(unit, k, c, Laurent.v_power(g.lengths[self.wc[k]]))
+        table = self._canonical_table()
         out: dict = {}
         for k in range(self.rank - 1, -1, -1):
-            c = unit.get(k)
+            c = take(unit, k)
             if not c:
                 continue
             out[k] = c
-            for z, d in self._canonical_table()[k].items():
-                _add_into(unit, z, -(c * d))
+            neg = -c
+            for z, d in table[k].items():
+                if z != k:
+                    addmul(unit, z, neg, d)
         return out
 
     def cross_check_canonical(self) -> bool:

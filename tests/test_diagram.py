@@ -106,6 +106,28 @@ def test_diagram_text_round_trip():
     assert LabeledDiagram.from_text(d.to_text()) == d
 
 
+def _perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    for j in range(1, len(points)):
+        rest = points[1:j] + points[j + 1:]
+        for m in _perfect_matchings(rest):
+            yield ((points[0], points[j]),) + m
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_from_text_accepts_exactly_the_non_crossing_matchings(n):
+    accepted = set()
+    for m in _perfect_matchings(tuple(range(1, 2 * n + 1))):
+        text = f"n={n} | " + " ".join(f"{a}-{b}:0" for a, b in m)
+        try:
+            accepted.add(LabeledDiagram.from_text(text).matching)
+        except ValueError as exc:
+            assert "strands cross" in str(exc)
+    assert accepted == set(matchings(n))
+
+
 @pytest.mark.parametrize(
     "n,lam,count",
     [(2, 0, 1), (2, 2, 1), (3, 1, 2), (3, 3, 1), (4, 0, 2), (4, 2, 3)],

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from planalg.laurent import (
@@ -13,6 +14,9 @@ from planalg.laurent import (
     V,
     V_INV,
     ZERO,
+    addmul,
+    collect,
+    take,
     vneg_congruent,
 )
 
@@ -132,3 +136,81 @@ def test_sqrt2_ring_laws(a, b):
 @given(qsqrt2s)
 def test_sqrt2_hash_consistent(x):
     assert hash(x + x) == hash(x * QSqrt2(2))
+
+
+def test_non_integers_are_refused_not_truncated():
+    for data in ({0: 1.5}, {0: 2.0}, {0.5: 1}, {0: Fraction(1, 2)}, {"1": 1}, 1.5):
+        with pytest.raises(TypeError):
+            Laurent(data)
+    with pytest.raises(TypeError):
+        Laurent.v_power(1.5)
+
+
+# -- the accumulation kernel ---------------------------------------------------
+
+operands = st.one_of(laurents, st.sampled_from([ZERO, ONE, V, DELTA]))
+factors = st.one_of(st.none(), st.integers(-3, 3), operands)
+kernel_ops = st.lists(
+    st.tuples(st.sampled_from("abc"), operands, factors), max_size=8
+)
+
+
+def _naive(ops):
+    out = {}
+    for key, a, b in ops:
+        out[key] = out.get(key, ZERO) + (a if b is None else a * b)
+    return {k: c for k, c in out.items() if c}
+
+
+def _accumulate(ops, rows=None):
+    rows = {} if rows is None else rows
+    for key, a, b in ops:
+        addmul(rows, key, a, b)
+    return rows
+
+
+def _clean(x):
+    """No zero coefficient, and == / hash agree with a fresh copy."""
+    fresh = Laurent(dict(x._c))
+    return all(x._c.values()) and x == fresh and hash(x) == hash(fresh)
+
+
+@given(kernel_ops, st.booleans())
+def test_collect_matches_naive_sums(ops, cancel):
+    if cancel:  # append the negation of every term: all rows cancel
+        ops = ops + [(k, -a, b) for k, a, b in ops]
+    got = collect(_accumulate(ops))
+    assert got == _naive(ops)
+    assert all(c and _clean(c) for c in got.values())
+    if cancel:
+        assert got == {}
+
+
+@given(kernel_ops)
+def test_take_matches_naive_and_removes_the_row(ops):
+    rows = _accumulate(ops)
+    want = _naive(ops)
+    for key in "abc":
+        got = take(rows, key)
+        assert got == want.get(key, ZERO) and _clean(got)
+        assert key not in rows
+    assert take(rows, "a") == ZERO
+
+
+@given(kernel_ops, kernel_ops)
+def test_kernel_never_mutates_its_inputs(ops, more):
+    def snapshot(items):
+        return [(a._c.copy(), b._c.copy() if isinstance(b, Laurent) else b)
+                for _, a, b in items]
+
+    before = snapshot(ops + more)
+    rows = _accumulate(ops)
+    got = collect(rows)
+    kept = {k: c._c.copy() for k, c in got.items()}
+    _accumulate(more + ops, rows)  # the rows stay private after collect
+    taken = take(rows, "a")
+    addmul(rows, "a", taken, 2)
+    assert snapshot(ops + more) == before
+    assert {k: c._c for k, c in got.items()} == kept
+    assert taken == _naive(ops + more + ops).get("a", ZERO)
+    assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})

@@ -1,8 +1,10 @@
 """Diagram algebra contexts: products, traces, twist, tensor embedding."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.planar import (
@@ -15,6 +17,7 @@ from planalg.planar import (
     trace_of_diagram,
     verify_tensor_iso,
 )
+from planalg.table_algebra import permutation_group_algebra
 from planalg.verlinde import make_verlinde
 
 V_INV2 = Laurent.v_power(-2)
@@ -153,3 +156,52 @@ def test_diagram_product_and_trace_agree_with_elements(p22):
             terms = diagram_product(p22, a, b)
             assert p22.element(terms) == p22.basis_element(a) * p22.basis_element(b)
             assert trace_of_diagram(p22, a) == p22.basis_element(a).trace()
+
+
+def test_elements_of_different_contexts_do_not_mix():
+    alg = make_verlinde(3)
+    a, b = Context(2, alg).one(), Context(3, alg).one()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(a, b)
+    with pytest.raises(ValueError):
+        a + Context(2, make_verlinde(2)).one()
+    assert a + Context(2, make_verlinde(3)).one() == a.scale(2)
+
+
+@pytest.mark.parametrize("line,why", [
+    ("1 * n=3 | 1-6:0 2-5:0 3-4:0", "does not match context n=2"),
+    ("1 * n=2 | 1-2:3 3-4:0", "label 3 is outside 0..2"),
+    ("1 * n=2 | 1-2:-1 3-4:0", "label -1 is outside 0..2"),
+    ("1 * n=2 | 1-3:0 2-4:0", "strands cross"),
+])
+def test_from_text_rejects_diagrams_outside_the_context(line, why):
+    with pytest.raises(ValueError, match=why):
+        Context(2, make_verlinde(3)).from_text(line)
+
+
+# -- a noncommutative label algebra: the right-to-left fusion order ------------
+
+S3_CONTEXTS = {n: Context(n, permutation_group_algebra(3)) for n in (2, 3)}
+
+
+@st.composite
+def s3_elements(draw, n):
+    ctx = S3_CONTEXTS[n]
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(ctx.basis()), st.integers(-2, 2),
+                  st.sampled_from([1, 2, -1])),
+        min_size=1, max_size=3,
+    ))
+    return ctx.element({d: Laurent.v_power(e) * c for d, e, c in terms})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_products_are_associative_and_star_reverses_them(n):
+    @settings(max_examples=60, deadline=None)
+    @given(s3_elements(n), s3_elements(n), s3_elements(n))
+    def check(x, y, z):
+        assert (x * y) * z == x * (y * z)
+        assert (x * y).star() == y.star() * x.star()
+
+    check()

@@ -141,6 +141,28 @@ def test_usage_errors_exit_two(args, stdin):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["mul", "trace"])
+@pytest.mark.parametrize("line", [
+    "1 * n=2 | 1-3:0 2-4:0",  # crossing strands
+    "1 * n=2 | 1-2:7 3-4:0",  # label outside V_2
+    "1 * n=2 | 1-2:-1 3-4:0",  # negative label
+    "1 * n=3 | 1-6:0 2-5:0 3-4:0",  # diagram of the wrong size
+])
+def test_bad_diagrams_exit_two_with_a_message(command, line):
+    stdin = line + "\n" + ("--\n" + IDENTITY_2 if command == "mul" else "")
+    proc = run_cli(command, "--n", "2", "--verlinde", "2", stdin=stdin)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("planalg: cannot parse element")
+
+
+@pytest.mark.parametrize("command", ["tlbasis", "embed", "conjecture"])
+def test_h4_is_refused_up_front(command):
+    proc = run_cli(command, "--type", "H", "--rank", "4")
+    assert proc.returncode == 2
+    assert "--rank 4" in proc.stderr
+
+
 def test_selftest_single_check_passes():
     proc = run_cli("selftest", "--only", "3")
     assert proc.returncode == 0
