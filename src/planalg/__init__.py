@@ -54,18 +54,7 @@ from .planar import (
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
 from .hecke import Hecke, hecke
 from .tl import TL, tl
-from .tabular import (
-    AxiomReport,
-    TabularDatum,
-    a_function,
-    almost_orthonormal,
-    axioms_check,
-    bilinear_form,
-    datum_build,
-    gamma,
-    gram_nondegenerate,
-    prop434_test,
-)
+from .tabular import AxiomReport, TabularDatum, datum_build, prop434_test
 from .embed import (
     AdmissibleSet,
     ConjectureReport,

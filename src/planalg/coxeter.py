@@ -110,10 +110,6 @@ class CoxeterGroup:
         word = [s if k % 2 == 0 else t for k in range(self.bonds[s][t])]
         return reduce(lambda a, g: self.right[a][g], word, 0)
 
-    def elements_by_length(self) -> tuple:
-        """All element indices; already sorted by (length, reduced word)."""
-        return tuple(range(self.order))
-
 
 def _bfs(num_gens: int, start, act) -> tuple:
     index = {start: 0}

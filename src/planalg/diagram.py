@@ -185,9 +185,6 @@ class LabeledDiagram:
     def label_map(self) -> dict:
         return dict(zip(self.matching, self.labels))
 
-    def relabel(self, new_labels) -> "LabeledDiagram":
-        return LabeledDiagram(self.matching, tuple(new_labels))
-
     def to_text(self) -> str:
         body = " ".join(f"{a}-{b}:{l}" for (a, b), l in zip(self.matching, self.labels))
         return f"n={self.n} | {body}"

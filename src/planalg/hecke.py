@@ -6,14 +6,18 @@ T_s T_w = T_{sw} when the length goes up and q T_{sw} + (q-1) T_w when
 it goes down.  The bar involution sends v to v^-1 and T_w to the
 inverse of T_{w^-1}; it is built incrementally along reduced words.
 
-The Kazhdan-Lusztig basis C'_w is computed by :func:`ic_solve`, a
-triangular solver shared with the Temperley-Lieb quotient: in the
-rescaled basis e_w = v^{-len(w)} T_w the bar involution is
-unitriangular, and the unique bar-invariant element congruent to e_w
-modulo strictly negative powers is found by back-substitution.  The
-solver insists that every correction term K be bar-antisymmetric and
-aborts otherwise, so a wrong multiplication table cannot silently
-produce a "basis".
+The Kazhdan-Lusztig basis C'_w is computed by the canonical-basis
+engine shared with the Temperley-Lieb quotient.  Both work over a basis
+b_y ordered by length, given by its bar table (bar_table[y] = bar(b_y)
+in the b-basis) and its lengths l(y): :func:`bar_apply` applies bar,
+:func:`canonical_solve` finds the canonical basis, :func:`from_unit`
+and :func:`canonical_coords` convert coordinates.  In the rescaled
+basis e_y = v^{-l(y)} b_y the bar involution is unitriangular, and the
+unique bar-invariant element congruent to e_y modulo strictly negative
+powers is found by back-substitution (:func:`ic_solve`).  The solver
+insists that every correction term K be bar-antisymmetric and aborts
+otherwise, so a wrong multiplication table cannot silently produce a
+"basis".
 
 >>> h = hecke(coxeter_group("A", 2))
 >>> h.mul(h.t(1), h.t(1)) == {0: Laurent("v^2"), 1: Laurent("v^2 - 1")}
@@ -24,7 +28,7 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
 from .laurent import Laurent, ONE, ZERO, addmul, collect, take
@@ -35,11 +39,11 @@ _Q_MINUS_1 = _Q - ONE
 _QINV_MINUS_1 = _QINV - ONE
 
 
-def ic_solve(count: int, bar_row) -> list:
+def ic_solve(rows: list) -> list:
     """Bar-invariant basis over a unit-triangular bar action.
 
-    The basis domain is 0..count-1, ordered so that bar only mixes an
-    element with strictly earlier ones; bar_row(y) returns bar of unit
+    The basis domain is 0..len(rows)-1, ordered so that bar only mixes
+    an element with strictly earlier ones; rows[y] is bar of unit
     element y in unit coordinates (diagonal 1, every off-diagonal entry
     on an earlier element).  For each w the solver returns the
     coordinates p of the unique element c_w = sum_y p[y] e_y with
@@ -48,10 +52,10 @@ def ic_solve(count: int, bar_row) -> list:
     bar-antisymmetric, which would falsify unitriangularity.
     """
     table = []
-    for w in range(count):
+    for w, row in enumerate(rows):
         p = {w: ONE}
         correction: dict = {}
-        for z, c in bar_row(w).items():
+        for z, c in row.items():
             if z != w:
                 addmul(correction, z, c)
         for z in range(w - 1, -1, -1):
@@ -68,11 +72,60 @@ def ic_solve(count: int, bar_row) -> list:
                 continue
             p[z] = pz
             bz = pz.bar()
-            for zz, c in bar_row(z).items():
+            for zz, c in rows[z].items():
                 if zz != z:
                     addmul(correction, zz, bz, c)
         table.append(p)
     return table
+
+
+def bar_apply(bar_table: list, x: dict) -> dict:
+    """bar(x), semilinear over the coefficients, through the bar table."""
+    rows: dict = {}
+    for y, c in x.items():
+        cb = c.bar() if isinstance(c, Laurent) else c
+        for z, d in bar_table[y].items():
+            addmul(rows, z, d, cb)
+    return collect(rows)
+
+
+def canonical_solve(bar_table: list, lengths) -> list:
+    """The canonical basis in unit coordinates, one dict per element.
+
+    bar(e_y) = sum_z v^{l(y)+l(z)} bar_table[y][z] e_z, so the table is
+    rescaled to unit coordinates and handed to :func:`ic_solve`.
+    """
+    return ic_solve([
+        {z: c.shift(ly + lengths[z]) for z, c in row.items()}
+        for row, ly in zip(bar_table, lengths)
+    ])
+
+
+def canonical_coords(x: dict, lengths, canonical: list) -> dict:
+    """Coordinates of x (in the b-basis) in the canonical basis.
+
+    Triangular back-substitution from the longest element down, with
+    canonical as returned by :func:`canonical_solve`.
+    """
+    unit: dict = {}
+    for y, c in x.items():
+        addmul(unit, y, c, Laurent.v_power(lengths[y]))
+    out: dict = {}
+    for y in range(len(canonical) - 1, -1, -1):
+        c = take(unit, y)
+        if not c:
+            continue
+        out[y] = c
+        neg = -c
+        for z, d in canonical[y].items():
+            if z != y:
+                addmul(unit, z, neg, d)
+    return out
+
+
+def from_unit(x: dict, lengths) -> dict:
+    """Unit coordinates (e_y = v^{-l(y)} b_y) back to the b-basis."""
+    return {y: c.shift(-lengths[y]) for y, c in x.items()}
 
 
 class Hecke:
@@ -80,8 +133,6 @@ class Hecke:
 
     def __init__(self, g: CoxeterGroup):
         self.g = g
-        self._bar_t = None
-        self._cprime_unit = None
 
     # -- T-basis arithmetic ---------------------------------------------
 
@@ -120,48 +171,41 @@ class Hecke:
 
     # -- bar involution ---------------------------------------------------
 
-    def bar_t(self, w: int) -> dict:
-        """bar(T_w) = (T_{w^-1})^-1, built along the reduced word.
+    @cached_property
+    def _bar_table(self) -> list:
+        """bar(T_w) = (T_{w^-1})^-1 for every w, built along reduced words.
 
         bar is a ring map, so bar(T_u T_s) = bar(T_u) bar(T_s) with
         bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1) T_e; the prefix u of
         each reduced word always has a smaller index.
         """
-        if self._bar_t is None:
-            table = [self.one()]
-            for i in range(1, self.g.order):
-                word = self.g.rwords[i]
-                u = 0
-                for s in word[:-1]:
-                    u = self.g.right[u][s]
-                last = word[-1]
-                bar_ts = {0: _QINV_MINUS_1, self.g.right[0][last]: _QINV}
-                table.append(self.mul(table[u], bar_ts))
-            self._bar_t = table
-        return self._bar_t[w]
+        table = [self.one()]
+        for i in range(1, self.g.order):
+            word = self.g.rwords[i]
+            u = 0
+            for s in word[:-1]:
+                u = self.g.right[u][s]
+            last = word[-1]
+            bar_ts = {0: _QINV_MINUS_1, self.g.right[0][last]: _QINV}
+            table.append(self.mul(table[u], bar_ts))
+        return table
+
+    def bar_t(self, w: int) -> dict:
+        """bar(T_w) in the T-basis."""
+        return self._bar_table[w]
 
     def bar(self, x: dict) -> dict:
-        rows: dict = {}
-        for w, c in x.items():
-            cb = c.bar() if isinstance(c, Laurent) else c
-            for z, d in self.bar_t(w).items():
-                addmul(rows, z, d, cb)
-        return collect(rows)
+        return bar_apply(self._bar_table, x)
 
     # -- Kazhdan-Lusztig basis ---------------------------------------------
 
-    def _unit_bar_row(self, y: int) -> dict:
-        ly = self.g.lengths[y]
-        return {
-            z: c.shift(ly + self.g.lengths[z]) for z, c in self.bar_t(y).items()
-        }
+    @cached_property
+    def _canonical_table(self) -> list:
+        return canonical_solve(self._bar_table, self.g.lengths)
 
     def cprime_unit(self, w: int) -> dict:
         """C'_w in the rescaled basis e_y = v^{-len(y)} T_y."""
-        if self._cprime_unit is None:
-            rows = [self._unit_bar_row(y) for y in range(self.g.order)]
-            self._cprime_unit = ic_solve(self.g.order, lambda y: rows[y])
-        return self._cprime_unit[w]
+        return self._canonical_table[w]
 
     def cprime(self, w: int) -> dict:
         """C'_w in the T-basis.
@@ -171,26 +215,11 @@ class Hecke:
         >>> h.cprime(top) == {y: Laurent.v_power(-5) for y in range(10)}
         True
         """
-        return {
-            y: c.shift(-self.g.lengths[y]) for y, c in self.cprime_unit(w).items()
-        }
+        return from_unit(self.cprime_unit(w), self.g.lengths)
 
     def to_cprime(self, x: dict) -> dict:
         """Coordinates of x in the C'-basis (triangular substitution)."""
-        unit: dict = {}
-        for y, c in x.items():
-            addmul(unit, y, c, Laurent.v_power(self.g.lengths[y]))
-        out: dict = {}
-        for y in range(self.g.order - 1, -1, -1):
-            c = take(unit, y)
-            if not c:
-                continue
-            out[y] = c
-            neg = -c
-            for z, d in self.cprime_unit(y).items():
-                if z != y:
-                    addmul(unit, z, neg, d)
-        return out
+        return canonical_coords(x, self.g.lengths, self._canonical_table)
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:
         """The polynomial P_{y,w} in q = v^2 (zero when y is not below w)."""

@@ -81,6 +81,8 @@ class Context:
     # -- element constructors ------------------------------------------
 
     def element(self, terms: dict) -> "Element":
+        for d in terms:
+            self._check_diagram(d)
         return Element(self, terms)
 
     def zero(self) -> "Element":

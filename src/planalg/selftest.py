@@ -5,8 +5,9 @@ statements: fusion-ring axioms, duality identities, the sqrt(2)
 homomorphism, stacking associativity, the cell axioms, traces, rank
 counts, admissible counts, canonical bases, the diagram embeddings,
 twist compatibility, the bilinear form, the canonical image map and the
-tensor embedding.  ``run_selftest`` prints one PASS/FAIL line per check
-and returns True only when every check passes.
+tensor embedding.  :func:`run_check` runs one numbered check; the
+``planalg selftest`` command prints one line per check and exits 0 only
+when every check passes inside its budget.
 
 Check 11 contains one identity that is genuinely false: the fusion
 twist does not fix the dihedral embedding for m = 6, because the twist
@@ -17,7 +18,7 @@ the statement.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coxeter import coxeter_group
 from .embed import (
@@ -70,7 +71,6 @@ class CheckResult:
     seconds: float
     budget: float
     detail: str = ""
-    witnesses: list = field(default_factory=list)
 
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
@@ -234,7 +234,6 @@ def _check_diagram_embeddings():
 
 
 def _check_twist_compatibility():
-    witnesses = []
     details = []
     passed = True
     for variant, fam, rank, m, want in (
@@ -243,17 +242,15 @@ def _check_twist_compatibility():
         ("I", "I", 2, 6, True),
     ):
         rep = rho_build(variant, fam, rank, m=m)
-        ok, wit = omega_rho_check(rep.embedding)
+        ok, _ = omega_rho_check(rep.embedding)
         details.append(f"{rep.group}: {'fixed' if ok else 'MOVED'}")
         if ok != want:
             passed = False
-            witnesses.extend(wit[:1])
     rep = rho_build("A", "A", 2)
     ok, wit = omega_rho_check(rep.embedding)
     details.append(f"A2: {'fixed' if ok else 'moved as required'}")
     if ok or not wit:
         passed = False
-        witnesses.append("type A embedding unexpectedly fixed by the twist")
     return passed, "; ".join(details)
 
 
@@ -379,19 +376,3 @@ def run_check(number: int) -> CheckResult:
         )
     raise ValueError(f"no check numbered {number}")
 
-
-def run_selftest(numbers=None, out=print) -> bool:
-    """Run the battery, print one line per check, return overall success."""
-    wanted = set(numbers) if numbers else {num for num, *_ in CHECKS}
-    all_ok = True
-    for num, _name, _budget, _fn in CHECKS:
-        if num not in wanted:
-            continue
-        res = run_check(num)
-        ok = res.passed and res.seconds <= res.budget
-        all_ok = all_ok and ok
-        out(res.line())
-        if not res.passed and num in KNOWN_FAILURES:
-            out("  (known failure: the twist moves the m = 6 dihedral image;"
-                " u_4 u_1 = u_3 in V_5)")
-    return all_ok

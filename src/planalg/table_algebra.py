@@ -70,7 +70,7 @@ class TableAlgebra:
         return dict(self.rows.get((i, j), {}))
 
     def mul(self, x: dict, y: dict) -> dict:
-        """Product of two sparse elements; coefficients may be Laurent."""
+        """Product of two sparse elements; coefficients may be Laurent or QSqrt2."""
         out: dict = {}
         for i, cx in x.items():
             for j, cy in y.items():

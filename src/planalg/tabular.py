@@ -7,8 +7,9 @@ and a lambda-fold tensor label b on the propagating strands.  The datum
 records, per lambda, the tensor-power label algebra and the finite set
 M(lambda) of labeled half-diagrams, together with the bijection C.
 
-``axioms_check`` runs the five defining conditions of a tabular algebra
-with trace, each executably and with witnesses on failure:
+``TabularDatum.axioms_check`` runs the five defining conditions of a
+tabular algebra with trace, each executably and with witnesses on
+failure:
 
   A1  C is a bijection onto the diagram basis, and the identity diagram
       is an idempotent unit.
@@ -424,30 +425,6 @@ def _det_mod(rows: list, p: int) -> int:
 def datum_build(ctx: Context) -> TabularDatum:
     """Build and constructively verify the datum for a context."""
     return TabularDatum(ctx)
-
-
-def a_function(datum: TabularDatum, d) -> int:
-    return datum.a_value(d)
-
-
-def gamma(datum: TabularDatum, x, y, z) -> int:
-    return datum.gamma(x, y, z)
-
-
-def axioms_check(datum: TabularDatum, samples: int = 2500, seed: int = 0) -> AxiomReport:
-    return datum.axioms_check(samples=samples, seed=seed)
-
-
-def bilinear_form(datum: TabularDatum, x: Element, y: Element) -> Laurent:
-    return datum.form(x, y)
-
-
-def almost_orthonormal(datum: TabularDatum) -> bool:
-    return datum.almost_orthonormal()
-
-
-def gram_nondegenerate(datum: TabularDatum) -> bool:
-    return datum.gram_nondegenerate()
 
 
 def prop434_test(tl_ctx, form, x) -> str:

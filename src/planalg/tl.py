@@ -33,11 +33,13 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
-from .hecke import Hecke, hecke, ic_solve
-from .laurent import Laurent, ONE, V_INV, addmul, collect, take
+from .hecke import (
+    Hecke, bar_apply, canonical_coords, canonical_solve, from_unit, hecke,
+)
+from .laurent import Laurent, ONE, V_INV, addmul, collect
 
 
 class TL:
@@ -49,13 +51,12 @@ class TL:
         self.wc, self.complex = wc_classify(g)
         self.rank = len(self.wc)
         self.pos = {w: k for k, w in enumerate(self.wc)}
+        self.lengths = [g.lengths[w] for w in self.wc]
         if any(g.inverse[w] not in self.pos for w in self.wc):
             raise AssertionError("fully commutative set not closed under inverse")
         self._theta_t = self._build_theta()
         self._verify_quotient()
         self._t_mul: dict = {}
-        self._bar_t = None
-        self._canonical = None
 
     # -- construction ------------------------------------------------------
 
@@ -179,16 +180,13 @@ class TL:
 
     # -- bar and star ----------------------------------------------------------
 
+    @cached_property
+    def _bar_table(self) -> list:
+        return [self.theta(self.h.bar_t(w)) for w in self.wc]
+
     def bar(self, x: dict) -> dict:
         """The bar involution, descended from the Hecke algebra."""
-        if self._bar_t is None:
-            self._bar_t = [self.theta(self.h.bar_t(w)) for w in self.wc]
-        rows: dict = {}
-        for k, c in x.items():
-            cb = c.bar() if isinstance(c, Laurent) else c
-            for z, d in self._bar_t[k].items():
-                addmul(rows, z, d, cb)
-        return collect(rows)
+        return bar_apply(self._bar_table, x)
 
     def star(self, x: dict) -> dict:
         """The anti-automorphism sending t_w to t_{w inverse}."""
@@ -196,23 +194,13 @@ class TL:
 
     # -- canonical basis ----------------------------------------------------------
 
+    @cached_property
     def _canonical_table(self) -> list:
-        if self._canonical is None:
-            g = self.g
-            rows = []
-            for k in range(self.rank):
-                ly = g.lengths[self.wc[k]]
-                row = {
-                    z: c.shift(ly + g.lengths[self.wc[z]])
-                    for z, c in self.bar(self.t(self.wc[k])).items()
-                }
-                rows.append(row)
-            self._canonical = ic_solve(self.rank, lambda k: rows[k])
-        return self._canonical
+        return canonical_solve(self._bar_table, self.lengths)
 
     def canonical_unit(self, w: int) -> dict:
         """c_w in the rescaled basis v^{-l(y)} t_y, keyed by position."""
-        return self._canonical_table()[self.pos[w]]
+        return self._canonical_table[self.pos[w]]
 
     def canonical_t(self, w: int) -> dict:
         """c_w in the t-basis, keyed by position.
@@ -221,29 +209,11 @@ class TL:
         >>> ctx.canonical_t(ctx.wc[1]) == ctx.b(0)
         True
         """
-        return {
-            k: c.shift(-self.g.lengths[self.wc[k]])
-            for k, c in self.canonical_unit(w).items()
-        }
+        return from_unit(self.canonical_unit(w), self.lengths)
 
     def to_canonical(self, x: dict) -> dict:
         """Coordinates of x in the canonical basis, keyed by position."""
-        g = self.g
-        unit: dict = {}
-        for k, c in x.items():
-            addmul(unit, k, c, Laurent.v_power(g.lengths[self.wc[k]]))
-        table = self._canonical_table()
-        out: dict = {}
-        for k in range(self.rank - 1, -1, -1):
-            c = take(unit, k)
-            if not c:
-                continue
-            out[k] = c
-            neg = -c
-            for z, d in table[k].items():
-                if z != k:
-                    addmul(unit, z, neg, d)
-        return out
+        return canonical_coords(x, self.lengths, self._canonical_table)
 
     def cross_check_canonical(self) -> bool:
         """theta(C'_w) equals c_w for every fully commutative w."""

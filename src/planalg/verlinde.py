@@ -199,31 +199,18 @@ def phi_is_homomorphism() -> bool:
     for i in range(3):
         for j in range(3):
             lhs = phi_v3_to_v2(v3.mul_basis(i, j))
-            rhs = _q_mul(v2, phi_v3_to_v2({i: 1}), phi_v3_to_v2({j: 1}))
+            rhs = v2.mul(phi_v3_to_v2({i: 1}), phi_v3_to_v2({j: 1}))
             if lhs != rhs:
                 return False
     one = QSqrt2(1)
     phi_y, phi_z = phi_v3_to_v2({1: 1}), phi_v3_to_v2({2: 1})
     relations = (
-        (_q_mul(v2, phi_y, phi_y), {0: one, 1: one}),   # y^2 = 1 + z
-        (_q_mul(v2, phi_y, phi_z), phi_y),              # yz = y
-        (_q_mul(v2, phi_z, phi_y), phi_y),              # zy = y
-        (_q_mul(v2, phi_z, phi_z), {0: one}),           # z^2 = 1
+        (v2.mul(phi_y, phi_y), {0: one, 1: one}),   # y^2 = 1 + z
+        (v2.mul(phi_y, phi_z), phi_y),              # yz = y
+        (v2.mul(phi_z, phi_y), phi_y),              # zy = y
+        (v2.mul(phi_z, phi_z), {0: one}),           # z^2 = 1
     )
     if any(got != want for got, want in relations):
         return False
     return phi_v3_to_v2({0: 1}) == {0: one}
 
-
-def _q_mul(alg: TableAlgebra, x: dict, y: dict) -> dict:
-    out: dict = {}
-    for i, cx in x.items():
-        for j, cy in y.items():
-            c = cx * cy
-            for m, k in alg.mul_basis(i, j).items():
-                acc = out.get(m, QSqrt2(0)) + c * k
-                if acc:
-                    out[m] = acc
-                else:
-                    out.pop(m, None)
-    return out

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planalg.diagram import LabeledDiagram
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.planar import (
     Context,
@@ -178,6 +179,16 @@ def test_elements_of_different_contexts_do_not_mix():
 def test_from_text_rejects_diagrams_outside_the_context(line, why):
     with pytest.raises(ValueError, match=why):
         Context(2, make_verlinde(3)).from_text(line)
+
+
+@pytest.mark.parametrize("text,why", [
+    ("n=3 | 1-6:0 2-5:0 3-4:0", "does not match context n=2"),
+    ("n=2 | 1-2:7 3-4:0", "label 7 is outside 0..1"),
+])
+def test_element_rejects_diagrams_outside_the_context(text, why):
+    ctx = Context(2, make_verlinde(2))
+    with pytest.raises(ValueError, match=why):
+        ctx.element({ctx.one().support()[0]: ONE, LabeledDiagram.from_text(text): ONE})
 
 
 # -- a noncommutative label algebra: the right-to-left fusion order ------------

@@ -173,6 +173,19 @@ def test_selftest_single_check_passes():
         "check=03 name=sqrt2-homomorphism result=pass")
 
 
+def test_selftest_only_dedups_and_sorts():
+    proc = run_cli("selftest", "--only", "3,1,3")
+    assert proc.returncode == 0
+    assert [line[:8] for line in proc.stdout.splitlines()] == [
+        "check 01", "check 03"]
+    proc = run_cli("--machine", "selftest", "--only", "3,1,3")
+    assert proc.returncode == 0
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
+        ["check=01", "name=fusion-rings"],
+        ["check=03", "name=sqrt2-homomorphism"],
+    ]
+
+
 def test_selftest_known_failure_exits_one():
     proc = run_cli("selftest", "--only", "11")
     assert proc.returncode == 1

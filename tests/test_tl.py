@@ -1,5 +1,7 @@
 """Quotient algebras: ideal descent, generator relations, canonical basis."""
 
+import random
+
 import pytest
 
 from planalg.coxeter import coxeter_group
@@ -146,6 +148,25 @@ def test_to_canonical_round_trip():
             for z, d in q.canonical_t(q.wc[k]).items():
                 back[z] = back.get(z, Laurent(0)) + c * d
         assert {z: c for z, c in back.items() if c} == x
+
+
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5),
+])
+def test_canonical_coordinates_descend_through_theta(family, rank, m):
+    # theta(C'_y) = c_y for fully commutative y and 0 for complex y, so
+    # the quotient's canonical coordinates of theta(x) are the Hecke
+    # C'-coordinates of x restricted to W_c.
+    g = coxeter_group(family, rank, m)
+    h, q = hecke(g), tl(g)
+    rng = random.Random(rank * 100 + m)
+    for _ in range(6):
+        x = {}
+        for _ in range(rng.randint(1, 4)):
+            x[rng.randrange(g.order)] = (
+                Laurent.v_power(rng.randint(-3, 3)) * rng.choice((1, 2, -1, -3)))
+        want = {q.pos[y]: c for y, c in h.to_cprime(x).items() if y in q.pos}
+        assert q.to_canonical(q.theta(x)) == want
 
 
 def test_theta_is_an_algebra_map():
