@@ -291,7 +291,7 @@ def rho_build(variant: str, family: str, rank: int, m: int = 0) -> EmbeddingRepo
         el = emb.rho_canonical(w)
         terms = el.terms
         if len(terms) == 1 and next(iter(terms.values())) == ONE:
-            images[w] = next(iter(terms))
+            (images[w],) = el.support()
         else:
             single = False
             break
@@ -299,7 +299,7 @@ def rho_build(variant: str, family: str, rank: int, m: int = 0) -> EmbeddingRepo
     return EmbeddingReport(variant, g.name, emb, images, single, injective)
 
 
-def rho_verify_bijection(report: EmbeddingReport, adm: AdmissibleSet = None) -> bool:
+def rho_verify_bijection(report: EmbeddingReport) -> bool:
     """Check the canonical images form the expected diagram set.
 
     Type A images are the plain (all identity-labeled) diagrams; B, H
@@ -315,10 +315,8 @@ def rho_verify_bijection(report: EmbeddingReport, adm: AdmissibleSet = None) -> 
         return False
     got = set(report.images.values())
     ctx = emb.ctx
-    if adm is None and report.variant in _PREDICATES:
-        adm = admissible(report.variant, ctx)
-    if adm is not None:
-        want = set(adm.members)
+    if report.variant in _PREDICATES:
+        want = set(admissible(report.variant, ctx).members)
     elif report.variant == "A":
         want = {d for d in ctx.basis() if all(l == 0 for l in d.labels)}
     else:
@@ -460,7 +458,7 @@ def conjecture_436_check(family: str, rank: int, m: int = 0) -> ConjectureReport
             all_single = False
             witnesses.append(f"image of element {w} is not a unit diagram")
             continue
-        d = next(iter(terms))
+        (d,) = el.support()
         if d not in exposed:
             all_exposed = False
             witnesses.append(f"image of element {w} is not exposed")

@@ -11,6 +11,10 @@ identity.  Since fused labels are generally sums of basis elements, the
 product of two basis diagrams is a Z[v, v^-1]-combination of basis
 diagrams.
 
+The context alone numbers its basis (:meth:`Context.index`, inverse
+:meth:`Context.diagram`); elements and the product and trace tables are
+keyed by that position, and diagrams appear only at the edges.
+
 Also here: the star anti-involution (vertical flip + label involution,
 bar on coefficients), the closure traces tr and tau = v^-n tr, the
 fusion twist (left-corner strands get multiplied by the group-like top
@@ -50,13 +54,14 @@ from .verlinde import w_multiply
 
 
 class Context:
-    """A diagram algebra P(n, alg): caches for products and traces."""
+    """A diagram algebra P(n, alg): basis numbering, product and trace caches."""
 
     def __init__(self, n: int, alg: TableAlgebra):
         if n < 1:
             raise ValueError("need at least one strand")
         self.n = n
         self.alg = alg
+        self._matching_pos = {m: k for k, m in enumerate(matchings(n))}
         self._basis = None
         self._prod: dict = {}
         self._trace: dict = {}
@@ -67,12 +72,48 @@ class Context:
     def basis(self) -> tuple:
         """All labeled diagrams, sorted; the free module basis."""
         if self._basis is None:
-            out = []
-            for m in matchings(self.n):
-                for labels in itertools.product(range(self.alg.rank), repeat=self.n):
-                    out.append(LabeledDiagram(m, labels))
-            self._basis = tuple(sorted(out))
+            self._basis = tuple(
+                LabeledDiagram(m, labels)
+                for m in matchings(self.n)
+                for labels in itertools.product(range(self.alg.rank), repeat=self.n)
+            )
         return self._basis
+
+    def index(self, d: LabeledDiagram) -> int:
+        """Position of d in :meth:`basis` (matching position * rank^n + labels
+        in base rank), not listing it; ValueError if d is outside the context.
+
+        >>> from .verlinde import make_verlinde
+        >>> ctx = Context(2, make_verlinde(3))
+        >>> d = LabeledDiagram.from_text('n=2 | 1-4:2 2-3:1')
+        >>> ctx.index(d), ctx.basis().index(d)
+        (16, 16)
+        >>> ctx.diagram(16) == d
+        True
+        """
+        if d.n != self.n:
+            raise ValueError(f"diagram size n={d.n} does not match context n={self.n}")
+        pos = self._matching_pos.get(d.matching)
+        if pos is None:
+            raise ValueError(f"strands cross or do not pair up 1..{2 * self.n}: {d}")
+        rank = self.alg.rank
+        for label in d.labels:
+            if not 0 <= label < rank:
+                raise ValueError(f"label {label} is outside 0..{rank - 1}")
+            pos = pos * rank + label
+        return pos
+
+    def diagram(self, k: int) -> LabeledDiagram:
+        """The basis diagram at position k; the inverse of :meth:`index`."""
+        return LabeledDiagram(*self._decode(k))
+
+    def _decode(self, k: int) -> tuple:
+        rank, labels = self.alg.rank, [0] * self.n
+        for s in range(self.n - 1, -1, -1):
+            k, labels[s] = divmod(k, rank)
+        if not 0 <= k < len(self._matching_pos):
+            raise IndexError(f"basis position out of range in {self!r}")
+        return matchings(self.n)[k], tuple(labels)
 
     def d_basis(self) -> tuple:
         """The exposed diagrams: every decorated strand is principal."""
@@ -81,36 +122,19 @@ class Context:
     # -- element constructors ------------------------------------------
 
     def element(self, terms: dict) -> "Element":
-        for d in terms:
-            self._check_diagram(d)
-        return Element(self, terms)
+        return Element(self, {self.index(d): c for d, c in terms.items()})
 
     def zero(self) -> "Element":
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {identity_diagram(self.n, self.alg.identity): ONE})
+        return self.basis_element(identity_diagram(self.n, self.alg.identity))
 
     def delta(self) -> "Element":
-        return Element(
-            self, {identity_diagram(self.n, self.alg.identity): DELTA}
-        )
-
-    def _check_diagram(self, diagram: LabeledDiagram) -> None:
-        """Raise ValueError unless the diagram has n strands and every
-        label is a basis index of the label algebra."""
-        if diagram.n != self.n:
-            raise ValueError(
-                f"diagram size n={diagram.n} does not match context n={self.n}"
-            )
-        rank = self.alg.rank
-        for label in diagram.labels:
-            if not 0 <= label < rank:
-                raise ValueError(f"label {label} is outside 0..{rank - 1}")
+        return self.one().scale(DELTA)
 
     def basis_element(self, diagram: LabeledDiagram) -> "Element":
-        self._check_diagram(diagram)
-        return Element._raw(self, {diagram: ONE})
+        return Element._raw(self, {self.index(diagram): ONE})
 
     def e_element(self, k: int, label: int) -> "Element":
         d = e_diagram(self.n, k, label, self.alg.inv, self.alg.identity)
@@ -131,10 +155,10 @@ class Context:
                 raise ValueError(f"element line needs '<coeff> * <diagram>': {raw!r}")
             d = LabeledDiagram.from_text(diag_s)
             try:
-                self._check_diagram(d)
+                k = self.index(d)
             except ValueError as exc:
                 raise ValueError(f"{exc}: {raw!r}") from None
-            addmul(rows, d, Laurent.parse(coeff_s))
+            addmul(rows, k, Laurent.parse(coeff_s))
         return Element._raw(self, collect(rows))
 
 
@@ -171,32 +195,37 @@ def _loop_trace(alg: TableAlgebra, loops, lm_top: dict, lm_bot: dict) -> int:
     return t
 
 
-def diagram_product(ctx: Context, top: LabeledDiagram, bot: LabeledDiagram) -> dict:
-    """Product of two basis diagrams as {diagram: Laurent}.
+def diagram_product(ctx: Context, i: int, j: int) -> dict:
+    """Product of the basis diagrams at positions i and j as
+    {position: Laurent}, cached in the context's one product table.
 
     The loop scalars are carried as an integer times delta^(loops) and
     multiplied out once per composite diagram.
     """
-    key = (top, bot)
+    key = (i, j)
     hit = ctx._prod.get(key)
     if hit is not None:
         return hit
-    alg = ctx.alg
-    stacked = stack_matchings(top.matching, bot.matching)
-    lm_top, lm_bot = top.label_map(), bot.label_map()
+    alg, n, rank = ctx.alg, ctx.n, ctx.alg.rank
+    (m_top, l_top), (m_bot, l_bot) = ctx._decode(i), ctx._decode(j)
+    stacked = stack_matchings(m_top, m_bot)
+    lm_top, lm_bot = dict(zip(m_top, l_top)), dict(zip(m_bot, l_bot))
     loop_t = _loop_trace(alg, stacked.loops, lm_top, lm_bot)
     rows: dict = {}
     if loop_t:
         scalar = _delta_power(len(stacked.loops))
-        strand_elements = [
-            sorted(fuse(alg, segs, lm_top, lm_bot).items()) for segs in stacked.paths
+        base = ctx._matching_pos[stacked.matching] * rank**n
+        places = [rank ** (n - 1 - s) for s in range(n)]
+        strand_steps = [
+            sorted((l * w, c) for l, c in fuse(alg, segs, lm_top, lm_bot).items())
+            for w, segs in zip(places, stacked.paths)
         ]
-        for choice in itertools.product(*strand_elements):
-            coeff = loop_t
-            for _, c in choice:
+        for choice in itertools.product(*strand_steps):
+            coeff, k = loop_t, base
+            for step, c in choice:
                 coeff *= c
-            d = LabeledDiagram(stacked.matching, tuple(l for l, _ in choice))
-            addmul(rows, d, scalar, coeff)
+                k += step
+            addmul(rows, k, scalar, coeff)
     out = collect(rows)
     ctx._prod[key] = out
     return out
@@ -229,16 +258,17 @@ def closure_loops(matching: tuple) -> tuple:
     return tuple(loops)
 
 
-def trace_of_diagram(ctx: Context, d: LabeledDiagram) -> Laurent:
-    """Closure trace of a basis diagram: product of loop scalars."""
-    hit = ctx._trace.get(d)
+def trace_of_diagram(ctx: Context, k: int) -> Laurent:
+    """Closure trace of the basis diagram at position k: product of loop scalars."""
+    hit = ctx._trace.get(k)
     if hit is not None:
         return hit
-    lmap = d.label_map()
-    loops = closure_loops(d.matching)
+    matching, labels = ctx._decode(k)
+    lmap = dict(zip(matching, labels))
+    loops = closure_loops(matching)
     t = _loop_trace(ctx.alg, loops, lmap, lmap)
     total = _delta_power(len(loops)) * t if t else ZERO
-    ctx._trace[d] = total
+    ctx._trace[k] = total
     return total
 
 
@@ -252,16 +282,16 @@ def is_exposed(d: LabeledDiagram, alg: TableAlgebra) -> bool:
 
 
 class Element:
-    """A Z[v, v^-1]-combination of labeled diagrams in a fixed context."""
+    """A Z[v, v^-1]-combination of basis diagrams: ``terms`` is {position: Laurent}."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: dict):
         clean = {}
-        for d, c in terms.items():
+        for k, c in terms.items():
             c = c if isinstance(c, Laurent) else Laurent(c)
             if c:
-                clean[d] = c
+                clean[k] = c
         self.ctx = ctx
         self.terms = clean
 
@@ -277,10 +307,8 @@ class Element:
         return not self.terms
 
     def support(self) -> tuple:
-        return tuple(sorted(self.terms))
-
-    def coeff(self, d: LabeledDiagram) -> Laurent:
-        return self.terms.get(d, ZERO)
+        """The diagrams with nonzero coefficient, sorted."""
+        return tuple(self.ctx.diagram(k) for k in sorted(self.terms))
 
     def _check_ctx(self, other: "Element"):
         a, b = self.ctx, other.ctx
@@ -293,12 +321,12 @@ class Element:
         self._check_ctx(other)
         rows: dict = {}
         for terms in (self.terms, other.terms):
-            for d, c in terms.items():
-                addmul(rows, d, c)
+            for k, c in terms.items():
+                addmul(rows, k, c)
         return Element._raw(self.ctx, collect(rows))
 
     def __neg__(self):
-        return Element._raw(self.ctx, {d: -c for d, c in self.terms.items()})
+        return Element._raw(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -313,14 +341,14 @@ class Element:
         self._check_ctx(other)
         ctx = self.ctx
         rows: dict = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                prod = diagram_product(ctx, d1, d2)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                prod = diagram_product(ctx, k1, k2)
                 if not prod:
                     continue
                 c = c1 * c2
-                for d, k in prod.items():
-                    addmul(rows, d, c, k)
+                for k, g in prod.items():
+                    addmul(rows, k, c, g)
         return Element._raw(ctx, collect(rows))
 
     def __rmul__(self, other):
@@ -329,7 +357,7 @@ class Element:
         return NotImplemented
 
     def scale(self, c) -> "Element":
-        return Element(self.ctx, {d: c * x for d, x in self.terms.items()})
+        return Element(self.ctx, {k: c * x for k, x in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
@@ -347,17 +375,15 @@ class Element:
 
     def star(self) -> "Element":
         """The anti-involution: flip vertically, involute labels, bar v."""
-        inv = self.ctx.alg.inv
-        return Element._raw(
-            self.ctx,
-            {star_diagram(d, inv): c.bar() for d, c in self.terms.items()},
-        )
+        ctx, inv = self.ctx, self.ctx.alg.inv
+        flip = {k: ctx.index(star_diagram(ctx.diagram(k), inv)) for k in self.terms}
+        return Element._raw(ctx, {flip[k]: c.bar() for k, c in self.terms.items()})
 
     def trace(self) -> Laurent:
         """Closure trace tr: close each diagram with nested arcs i -- 2n+1-i."""
         rows: dict = {}
-        for d, c in self.terms.items():
-            addmul(rows, 0, c, trace_of_diagram(self.ctx, d))
+        for k, c in self.terms.items():
+            addmul(rows, 0, c, trace_of_diagram(self.ctx, k))
         return take(rows, 0)
 
     def tau(self) -> Laurent:
@@ -367,9 +393,8 @@ class Element:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        return "\n".join(
-            f"{self.terms[d]} * {d.to_text()}" for d in sorted(self.terms)
-        )
+        terms = sorted(self.terms.items())
+        return "\n".join(f"{c} * {self.ctx.diagram(k).to_text()}" for k, c in terms)
 
     def __repr__(self):
         body = self.to_text().replace("\n", "; ")
@@ -397,13 +422,14 @@ def fusion_twist(x: Element) -> Element:
     ctx = x.ctx
     alg = ctx.alg
     rows: dict = {}
-    for d, c in x.terms.items():
-        kinds = edge_kinds(d.matching)
+    for k, c in x.terms.items():
+        matching, labels = ctx._decode(k)
+        kinds = edge_kinds(matching)
         labels = tuple(
             w_multiply(alg, l) if kinds[p].transitional else l
-            for p, l in zip(d.matching, d.labels)
+            for p, l in zip(matching, labels)
         )
-        addmul(rows, LabeledDiagram(d.matching, labels), c)
+        addmul(rows, ctx.index(LabeledDiagram(matching, labels)), c)
     return Element._raw(ctx, collect(rows))
 
 
@@ -417,9 +443,10 @@ def tensor_elements(x: Element, y: Element, target: Context) -> Element:
         raise ValueError("target context does not match the juxtaposition")
     inv = target.alg.inv
     rows: dict = {}
-    for d1, c1 in x.terms.items():
-        for d2, c2 in y.terms.items():
-            addmul(rows, tensor_matched(d1, d2, inv), c1, c2)
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            d = tensor_matched(x.ctx.diagram(k1), y.ctx.diagram(k2), inv)
+            addmul(rows, target.index(d), c1, c2)
     return Element._raw(target, collect(rows))
 
 
@@ -467,7 +494,7 @@ def verify_tensor_iso(ctx: Context) -> bool:
         )
         row = power.mul_basis(tuple_index(ctx.alg, s), tuple_index(ctx.alg, t))
         want = {
-            p_tensor_embed(ctx, index_tuple(ctx.alg, u, ctx.n)): Laurent(c)
+            ctx.index(p_tensor_embed(ctx, index_tuple(ctx.alg, u, ctx.n))): Laurent(c)
             for u, c in row.items()
         }
         if left.terms != want:

@@ -43,7 +43,6 @@ True
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -52,11 +51,9 @@ from .laurent import Laurent, ONE, ZERO, addmul, take, vneg_congruent
 from .planar import Context, Element, diagram_product, trace_of_diagram
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 
-_CAP_ENV = "PLANALG_EXHAUSTIVE_CAP"
-
-
-def _cap() -> int:
-    return int(os.environ.get(_CAP_ENV, "200"))
+#: Largest basis checked exhaustively; larger ones use SAMPLES seeded pairs.
+EXHAUSTIVE_CAP = 200
+SAMPLES = 2500
 
 
 @dataclass
@@ -113,11 +110,10 @@ class TabularDatum:
             self.m_sets[lam] = tuple(members)
         self.basis = ctx.basis()
         self.index = {d: k for k, d in enumerate(self.basis)}
-        self.splits = [self._split(d) for d in self.basis]
+        self.splits = [half_split(d, alg.inv) for d in self.basis]
         self.trip_index = {t: k for k, t in enumerate(self.splits)}
         self.a_vals = [(n - len(b)) // 2 for (_, b, _) in self.splits]
         self._verify_bijection()
-        self._products: dict = {}
         self._tau = None
 
     # -- the map C and its inverse ------------------------------------------
@@ -126,16 +122,12 @@ class TabularDatum:
         """Assemble the basis diagram C(S, b, T)."""
         return half_join(s, b, t, self.ctx.alg.inv)
 
-    def _split(self, d) -> tuple:
-        s, b, t = half_split(d, self.ctx.alg.inv)
-        return (s, b, t)
-
     def split(self, d) -> tuple:
         """The unique triple (S, b, T) with C(S, b, T) = d."""
         return self.splits[self.index[d]]
 
     def _verify_bijection(self) -> None:
-        seen = {}
+        seen = set()
         for lam in self.lambdas:
             rank = self.gammas[lam].rank
             for s in self.m_sets[lam]:
@@ -143,14 +135,14 @@ class TabularDatum:
                     b = index_tuple(self.ctx.alg, bidx, lam)
                     for t in self.m_sets[lam]:
                         d = self.c(s, b, t)
-                        if d in seen:
+                        k = self.ctx.index(d)
+                        if k in seen:
                             raise AssertionError(f"C not injective at {d}")
-                        seen[d] = (s, b, t)
-        if set(seen) != set(self.basis):
+                        if self.splits[k] != (s, b, t):
+                            raise AssertionError(f"half_split does not invert C at {d}")
+                        seen.add(k)
+        if len(seen) != len(self.basis):
             raise AssertionError("image of C is not the diagram basis")
-        for d, (s, b, t) in seen.items():
-            if self.splits[self.index[d]] != (s, b, t):
-                raise AssertionError(f"half_split does not invert C at {d}")
 
     # -- a-function, products, trace -------------------------------------------
 
@@ -160,13 +152,7 @@ class TabularDatum:
 
     def product(self, i: int, j: int) -> dict:
         """Structure constants of basis[i] . basis[j], keyed by index."""
-        key = (i, j)
-        got = self._products.get(key)
-        if got is None:
-            raw = diagram_product(self.ctx, self.basis[i], self.basis[j])
-            got = {self.index[d]: c for d, c in raw.items()}
-            self._products[key] = got
-        return got
+        return diagram_product(self.ctx, i, j)
 
     def g_constant(self, i: int, j: int, k: int) -> Laurent:
         return self.product(i, j).get(k, ZERO)
@@ -188,7 +174,7 @@ class TabularDatum:
         if self._tau is None:
             scale = Laurent.v_power(-self.ctx.n)
             self._tau = [
-                scale * trace_of_diagram(self.ctx, d) for d in self.basis
+                scale * trace_of_diagram(self.ctx, k) for k in range(len(self.basis))
             ]
         return self._tau
 
@@ -203,16 +189,14 @@ class TabularDatum:
         js = self.index[star_diagram(self.basis[j], self.ctx.alg.inv)]
         return self._tau_product(i, js)
 
-    def almost_orthonormal(self, pairs=None) -> bool:
+    def almost_orthonormal(self) -> bool:
         """(X, X') = [X = X'] modulo v^-1 Z[v^-1] over basis pairs."""
-        if pairs is None:
-            pairs = itertools.product(range(len(self.basis)), repeat=2)
-        for i, j in pairs:
+        for i, j in itertools.product(range(len(self.basis)), repeat=2):
             if not vneg_congruent(self.form_basis(i, j), int(i == j)):
                 return False
         return True
 
-    def gram_nondegenerate(self, prime: int = (1 << 61) - 1) -> bool:
+    def gram_nondegenerate(self) -> bool:
         """Certify det(Gram) != 0 by evaluation at v = 3 modulo a prime.
 
         Almost-orthonormality already forces det = 1 + lower order, but
@@ -220,6 +204,7 @@ class TabularDatum:
         evaluated matrix over GF(p) certifies the symbolic determinant
         is nonzero.
         """
+        prime = (1 << 61) - 1
         size = len(self.basis)
         rows = []
         for i in range(size):
@@ -233,17 +218,17 @@ class TabularDatum:
 
     # -- axiom checks -------------------------------------------------------------
 
-    def axioms_check(self, samples: int = 2500, seed: int = 0) -> AxiomReport:
+    def axioms_check(self, seed: int = 0) -> AxiomReport:
         size = len(self.basis)
-        exhaustive = size <= _cap()
+        exhaustive = size <= EXHAUSTIVE_CAP
         if exhaustive:
             a_list = list(range(size))
             pairs = list(itertools.product(range(size), repeat=2))
         else:
             rng = random.Random(seed)
-            a_list = [rng.randrange(size) for _ in range(max(2, samples // size))]
+            a_list = [rng.randrange(size) for _ in range(max(2, SAMPLES // size))]
             pairs = [
-                (rng.randrange(size), rng.randrange(size)) for _ in range(samples)
+                (rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLES)
             ]
         witnesses: list = []
         a1 = self._check_a1(a_list, witnesses)
@@ -255,7 +240,7 @@ class TabularDatum:
         return AxiomReport(a1, a2, a3, a4, a5, a_fn, exhaustive, witnesses)
 
     def _check_a1(self, a_list, witnesses) -> bool:
-        one = self.index[self.ctx.one().support()[0]]
+        (one,) = self.ctx.one().terms
         ok = True
         empty = HalfDiagram(self.ctx.n, (), ())
         ident = (self.ctx.alg.identity,) * self.ctx.n

@@ -1,12 +1,13 @@
 """Diagram algebra contexts: products, traces, twist, tensor embedding."""
 
+import itertools
 import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planalg.diagram import LabeledDiagram
+from planalg.diagram import LabeledDiagram, matchings
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.planar import (
     Context,
@@ -152,11 +153,12 @@ def test_tensor_elements_agree_with_embedding():
 
 
 def test_diagram_product_and_trace_agree_with_elements(p22):
-    for a in p22.basis():
-        for b in p22.basis():
-            terms = diagram_product(p22, a, b)
+    basis = p22.basis()
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            terms = {basis[k]: c for k, c in diagram_product(p22, i, j).items()}
             assert p22.element(terms) == p22.basis_element(a) * p22.basis_element(b)
-            assert trace_of_diagram(p22, a) == p22.basis_element(a).trace()
+            assert trace_of_diagram(p22, i) == p22.basis_element(a).trace()
 
 
 def test_elements_of_different_contexts_do_not_mix():
@@ -184,11 +186,77 @@ def test_from_text_rejects_diagrams_outside_the_context(line, why):
 @pytest.mark.parametrize("text,why", [
     ("n=3 | 1-6:0 2-5:0 3-4:0", "does not match context n=2"),
     ("n=2 | 1-2:7 3-4:0", "label 7 is outside 0..1"),
+    # built in code: LabeledDiagram.from_text already refuses crossings
+    pytest.param(LabeledDiagram(((1, 3), (2, 4)), (0, 0)), "strands cross",
+                 id="crossing built in code"),
 ])
 def test_element_rejects_diagrams_outside_the_context(text, why):
     ctx = Context(2, make_verlinde(2))
+    diagram = LabeledDiagram.from_text(text) if isinstance(text, str) else text
     with pytest.raises(ValueError, match=why):
-        ctx.element({ctx.one().support()[0]: ONE, LabeledDiagram.from_text(text): ONE})
+        ctx.element({ctx.one().support()[0]: ONE, diagram: ONE})
+    with pytest.raises(ValueError, match=why):
+        ctx.basis_element(diagram)
+
+
+# -- the basis numbering --------------------------------------------------------
+
+LABEL_ALGEBRAS = [make_verlinde(r) for r in (1, 2, 3, 4)] + [permutation_group_algebra(3)]
+
+
+def _size(n, alg):
+    return len(matchings(n)) * alg.rank**n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.sampled_from(LABEL_ALGEBRAS), st.data())
+def test_index_inverts_diagram_and_text_round_trips(n, alg, data):
+    ctx = Context(n, alg)
+    k = data.draw(st.integers(0, _size(n, alg) - 1))
+    d = ctx.diagram(k)
+    assert ctx.index(d) == k
+    assert LabeledDiagram.from_text(d.to_text()) == d
+    assert ctx._basis is None
+
+
+def test_basis_is_the_sorted_enumeration_in_index_order():
+    checked = 0
+    for n in range(1, 8):
+        for alg in LABEL_ALGEBRAS:
+            if _size(n, alg) > 5000:
+                continue
+            ctx = Context(n, alg)
+            reference = tuple(sorted(
+                LabeledDiagram(m, labels)
+                for m in matchings(n)
+                for labels in itertools.product(range(alg.rank), repeat=n)
+            ))
+            assert ctx.basis() == reference
+            assert all(ctx.index(d) == k for k, d in enumerate(reference))
+            checked += 1
+    assert checked >= 15
+
+
+def test_positions_out_of_range_are_refused(p22):
+    for k in (-1, len(p22.basis())):
+        with pytest.raises(IndexError):
+            p22.diagram(k)
+
+
+def test_p74_works_without_listing_its_basis():
+    ctx = Context(7, make_verlinde(4))
+    x = ctx.from_text(
+        "v * n=7 | 1-14:1 2-13:3 3-4:2 5-12:0 6-11:1 7-8:2 9-10:3\n"
+        "-1 * n=7 | 1-2:1 3-14:0 4-13:1 5-12:2 6-11:3 7-10:0 8-9:1"
+    )
+    y = ctx.e_element(3, 2) + ctx.one()
+    xy = x * y
+    assert not xy.is_zero()
+    assert ctx.from_text(xy.to_text()) == xy
+    assert xy.star() == y.star() * x.star()
+    assert xy.tau() == (y * x).tau()
+    assert fusion_twist(fusion_twist(xy)) == xy
+    assert ctx._basis is None
 
 
 # -- a noncommutative label algebra: the right-to-left fusion order ------------

@@ -7,7 +7,7 @@ import pytest
 
 from planalg.laurent import DELTA, Laurent, ONE, V_INV, vneg_congruent
 from planalg.planar import Context
-from planalg.tabular import datum_build
+from planalg.tabular import EXHAUSTIVE_CAP, datum_build
 from planalg.verlinde import make_verlinde
 
 V_INV2 = Laurent.v_power(-2)
@@ -57,9 +57,10 @@ def test_axioms_pass_exhaustively(n, r):
     assert not rep.witnesses
 
 
-def test_sampled_mode_when_capped(monkeypatch):
-    monkeypatch.setenv("PLANALG_EXHAUSTIVE_CAP", "4")
-    datum = datum_build(Context(2, make_verlinde(2)))
+def test_sampled_mode_when_capped():
+    # P(4, 2) has 14 * 2^4 = 224 diagrams, over EXHAUSTIVE_CAP
+    datum = datum_build(Context(4, make_verlinde(2)))
+    assert len(datum.basis) > EXHAUSTIVE_CAP
     rep = datum.axioms_check()
     assert rep.ok and rep.a_function_ok
     assert not rep.exhaustive
