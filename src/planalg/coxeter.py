@@ -15,8 +15,8 @@ m(0,1) is 4 for type B, 5 for type H and m for I_2(m); all other
 adjacent bonds are 3.
 
 >>> a2 = coxeter_group("A", 2)
->>> a2.order, [a2.rword(i) for i in range(a2.order)]
-(6, [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)])
+>>> a2.order, a2.rwords
+(6, ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)))
 >>> wc_classify(a2)
 ((0, 1, 2, 3, 4), (5,))
 >>> g = coxeter_group("I", 2, 7)
@@ -72,13 +72,6 @@ class CoxeterGroup:
 
     def __repr__(self):
         return f"<CoxeterGroup {self.name} order={self.order}>"
-
-    def length(self, i: int) -> int:
-        return self.lengths[i]
-
-    def rword(self, i: int) -> tuple:
-        """The lexicographically least reduced word of element i."""
-        return self.rwords[i]
 
     def bond(self, s: int, t: int) -> int:
         return self.bonds[s][t]
@@ -243,15 +236,6 @@ def coxeter_group(family: str, rank: int, m: int = 0) -> CoxeterGroup:
     if len(states) != expect:
         raise AssertionError(f"{name}: enumerated {len(states)}, expected {expect}")
     return CoxeterGroup(name, bonds, states, right)
-
-
-def content(g: CoxeterGroup, i: int) -> frozenset:
-    """Generators appearing in a (hence any) reduced word of element i.
-
-    >>> sorted(content(coxeter_group("A", 2), 3))
-    [0, 1]
-    """
-    return frozenset(g.rwords[i])
 
 
 @lru_cache(maxsize=None)

@@ -138,8 +138,10 @@ class EdgeKind:
     transitional: bool  # exactly one endpoint at a left corner (1 or 2n)
 
 
-def edge_kinds(matching) -> dict:
-    """Classification of every strand of a matching.
+@lru_cache(maxsize=None)
+def edge_kinds(matching: tuple) -> dict:
+    """Classification of every strand of a matching, cached per matching
+    (callers must not modify the returned dict).
 
     >>> kinds = edge_kinds(((1, 4), (2, 3), (5, 6)))
     >>> kinds[(1, 4)]
@@ -272,6 +274,22 @@ def e_diagram(n: int, k: int, label: int, inv, identity_label: int = 0) -> Label
     return LabeledDiagram(m, tuple(labels))
 
 
+@lru_cache(maxsize=None)
+def star_matching(matching: tuple) -> tuple:
+    """The matching reflected top-to-bottom (i -> 2n+1-i), with the strand
+    order: ``order[k]`` is the position in ``matching`` of the strand that
+    becomes the k-th pair of the reflection.
+
+    >>> star_matching(((1, 2), (3, 6), (4, 5)))
+    (((1, 4), (2, 3), (5, 6)), (1, 2, 0))
+    """
+    n2 = 2 * len(matching)
+    items = sorted(
+        (_pair(n2 + 1 - a, n2 + 1 - b), k) for k, (a, b) in enumerate(matching)
+    )
+    return tuple(p for p, _ in items), tuple(k for _, k in items)
+
+
 def star_diagram(d: LabeledDiagram, inv) -> LabeledDiagram:
     """Reflect top-to-bottom (i -> 2n+1-i) and flip labels through ``inv``.
 
@@ -279,12 +297,8 @@ def star_diagram(d: LabeledDiagram, inv) -> LabeledDiagram:
     >>> star_diagram(d, (0, 2, 1)).labels
     (0, 2)
     """
-    n2 = 2 * d.n
-    items = sorted(
-        (_pair(n2 + 1 - a, n2 + 1 - b), inv[l])
-        for (a, b), l in zip(d.matching, d.labels)
-    )
-    return LabeledDiagram(tuple(p for p, _ in items), tuple(l for _, l in items))
+    matching, order = star_matching(d.matching)
+    return LabeledDiagram(matching, tuple(inv[d.labels[k]] for k in order))
 
 
 def tensor_matched(d1: LabeledDiagram, d2: LabeledDiagram, inv) -> LabeledDiagram:

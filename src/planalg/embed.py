@@ -261,7 +261,13 @@ class EmbeddingReport:
     image_matches: bool = None
     witnesses: list = field(default_factory=list)
 
-    def lines(self) -> list:
+    @property
+    def ok(self) -> bool:
+        """False until :func:`rho_verify_bijection` has matched the images."""
+        return self.single_unit and self.injective and self.image_matches is True
+
+    def lines(self, machine: bool = False) -> list:
+        """key=value lines in both modes, ending with the verdict."""
         ctx = self.embedding.ctx
         out = [
             f"variant={self.variant}",
@@ -275,6 +281,7 @@ class EmbeddingReport:
             out.append(f"image_matches={self.image_matches}")
         for w in self.witnesses[:10]:
             out.append(f"witness: {w}")
+        out.append(f"bijection={self.ok}")
         return out
 
 
@@ -305,11 +312,11 @@ def rho_verify_bijection(report: EmbeddingReport) -> bool:
     Type A images are the plain (all identity-labeled) diagrams; B, H
     and I images are the admissible sets; the uniform images must land
     inside the exposed basis.  Type I images additionally satisfy the
-    explicit descent correspondence.
+    explicit descent correspondence.  Records the outcome in
+    ``report.image_matches`` and returns ``report.ok``.
     """
     emb = report.embedding
-    ok = report.single_unit and report.injective
-    if not ok:
+    if not (report.single_unit and report.injective):
         report.witnesses.append("images are not distinct unit diagrams")
         report.image_matches = False
         return False
@@ -334,7 +341,7 @@ def rho_verify_bijection(report: EmbeddingReport) -> bool:
     if ok and report.variant == "I":
         ok = _i_descent_ok(emb, report.images, report.witnesses)
     report.image_matches = ok
-    return ok
+    return report.ok
 
 
 def _i_descent_ok(emb: DiagramEmbedding, images: dict, witnesses: list) -> bool:
@@ -409,7 +416,8 @@ class ConjectureReport:
             and self.zero_exactly_complex
         )
 
-    def lines(self) -> list:
+    def lines(self, machine: bool = False) -> list:
+        """key=value lines in both modes."""
         return [
             f"group={self.group}",
             f"target={self.target}",

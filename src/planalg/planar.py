@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from numbers import Integral
 
 from .diagram import (
     LabeledDiagram,
@@ -44,7 +45,7 @@ from .diagram import (
     matchings,
     partner_map,
     stack_matchings,
-    star_diagram,
+    star_matching,
     tensor_matched,
     _pair,
 )
@@ -93,13 +94,20 @@ class Context:
         """
         if d.n != self.n:
             raise ValueError(f"diagram size n={d.n} does not match context n={self.n}")
-        pos = self._matching_pos.get(d.matching)
-        if pos is None:
+        if d.matching not in self._matching_pos:
             raise ValueError(f"strands cross or do not pair up 1..{2 * self.n}: {d}")
         rank = self.alg.rank
         for label in d.labels:
+            if not isinstance(label, Integral):
+                raise ValueError(f"label {label!r} is not an integer")
             if not 0 <= label < rank:
                 raise ValueError(f"label {label} is outside 0..{rank - 1}")
+        return self._encode(d.matching, d.labels)
+
+    def _encode(self, matching: tuple, labels) -> int:
+        """Position of (matching, labels), both known to lie in the context."""
+        pos, rank = self._matching_pos[matching], self.alg.rank
+        for label in labels:
             pos = pos * rank + label
         return pos
 
@@ -114,6 +122,14 @@ class Context:
         if not 0 <= k < len(self._matching_pos):
             raise IndexError(f"basis position out of range in {self!r}")
         return matchings(self.n)[k], tuple(labels)
+
+    def star_position(self, k: int) -> int:
+        """Position of the star of the basis diagram at position k: the
+        vertical flip with every label read through ``alg.inv``."""
+        matching, labels = self._decode(k)
+        flipped, order = star_matching(matching)
+        inv = self.alg.inv
+        return self._encode(flipped, [inv[labels[s]] for s in order])
 
     def d_basis(self) -> tuple:
         """The exposed diagrams: every decorated strand is principal."""
@@ -375,9 +391,10 @@ class Element:
 
     def star(self) -> "Element":
         """The anti-involution: flip vertically, involute labels, bar v."""
-        ctx, inv = self.ctx, self.ctx.alg.inv
-        flip = {k: ctx.index(star_diagram(ctx.diagram(k), inv)) for k in self.terms}
-        return Element._raw(ctx, {flip[k]: c.bar() for k, c in self.terms.items()})
+        ctx = self.ctx
+        return Element._raw(
+            ctx, {ctx.star_position(k): c.bar() for k, c in self.terms.items()}
+        )
 
     def trace(self) -> Laurent:
         """Closure trace tr: close each diagram with nested arcs i -- 2n+1-i."""
@@ -425,11 +442,11 @@ def fusion_twist(x: Element) -> Element:
     for k, c in x.terms.items():
         matching, labels = ctx._decode(k)
         kinds = edge_kinds(matching)
-        labels = tuple(
+        labels = [
             w_multiply(alg, l) if kinds[p].transitional else l
             for p, l in zip(matching, labels)
-        )
-        addmul(rows, ctx.index(LabeledDiagram(matching, labels)), c)
+        ]
+        addmul(rows, ctx._encode(matching, labels), c)
     return Element._raw(ctx, collect(rows))
 
 

@@ -196,13 +196,7 @@ class AlgebraCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.identity
-            and self.t1
-            and self.t2
-            and self.t3_normalized
-            and self.associativity
-        )
+        return all(self.flags().values())
 
     def flags(self) -> dict:
         return {
@@ -212,15 +206,6 @@ class AlgebraCheck:
             "t3_normalized": self.t3_normalized,
             "associativity": self.associativity,
         }
-
-    def report(self) -> str:
-        lines = [
-            f"{'ok  ' if good else 'FAIL'} {name}"
-            for name, good in self.flags().items()
-        ]
-        for w in self.witnesses:
-            lines.append(f"     witness: {w}")
-        return "\n".join(lines)
 
 
 def check_algebra(alg: TableAlgebra) -> AlgebraCheck:

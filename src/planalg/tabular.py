@@ -58,7 +58,8 @@ SAMPLES = 2500
 
 @dataclass
 class AxiomReport:
-    """Outcome of the five axiom checks, with failure witnesses."""
+    """Outcome of the five axiom checks and the a-function check, with
+    failure witnesses; ``ok`` is the whole verdict."""
 
     a1: bool
     a2: bool
@@ -71,7 +72,7 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return self.a1 and self.a2 and self.a3 and self.a4 and self.a5
+        return all(self.flags().values())
 
     def flags(self) -> dict:
         return {
@@ -80,15 +81,17 @@ class AxiomReport:
             "A3": self.a3,
             "A4": self.a4,
             "A5": self.a5,
+            "a_function": self.a_function_ok,
         }
 
-    def report(self) -> str:
-        lines = [f"{k}: {'ok' if v else 'FAIL'}" for k, v in self.flags().items()]
-        lines.append(f"a_function: {'ok' if self.a_function_ok else 'FAIL'}")
-        lines.append(f"mode: {'exhaustive' if self.exhaustive else 'sampled'}")
-        for w in self.witnesses[:10]:
-            lines.append(f"witness: {w}")
-        return "\n".join(lines)
+    def lines(self, machine: bool = False) -> list:
+        if machine:
+            out = [f"{k}={v}" for k, v in self.flags().items()]
+            out.append(f"exhaustive={self.exhaustive}")
+            return out + [f"witness={w}" for w in self.witnesses[:10]]
+        out = [f"{k}: {'ok' if v else 'FAIL'}" for k, v in self.flags().items()]
+        out.append(f"mode: {'exhaustive' if self.exhaustive else 'sampled'}")
+        return out + [f"witness: {w}" for w in self.witnesses[:10]]
 
 
 class TabularDatum:
@@ -157,11 +160,6 @@ class TabularDatum:
     def g_constant(self, i: int, j: int, k: int) -> Laurent:
         return self.product(i, j).get(k, ZERO)
 
-    def gamma(self, x, y, z) -> int:
-        """Coefficient of v^{a(Z)} in the structure constant g_{X,Y,Z}."""
-        i, j, k = self.index[x], self.index[y], self.index[z]
-        return self.g_constant(i, j, k).coeff(self.a_vals[k])
-
     def _tau_product(self, i: int, j: int) -> Laurent:
         """tau(basis[i] . basis[j]) through the product table."""
         tau = self.tau_vector()
@@ -186,8 +184,7 @@ class TabularDatum:
 
     def form_basis(self, i: int, j: int) -> Laurent:
         """(basis[i], basis[j]) computed through the product table."""
-        js = self.index[star_diagram(self.basis[j], self.ctx.alg.inv)]
-        return self._tau_product(i, js)
+        return self._tau_product(i, self.ctx.star_position(j))
 
     def almost_orthonormal(self) -> bool:
         """(X, X') = [X = X'] modulo v^-1 Z[v^-1] over basis pairs."""
@@ -357,8 +354,7 @@ class TabularDatum:
             if not vneg_congruent(val, want):
                 witnesses.append(("A5", "trace congruence", self.basis[k]))
                 ok = False
-            ks = self.index[star_diagram(self.basis[k], alg.inv)]
-            if tau[k] != tau[ks]:
+            if tau[k] != tau[self.ctx.star_position(k)]:
                 witnesses.append(("A5", "tau(x) != tau(x*)", self.basis[k]))
                 ok = False
         for i, j in pairs:

@@ -27,6 +27,6 @@ def _param(entry):
 def test_acceptance(number, budget, capsys):
     res = run_check(number)
     with capsys.disabled():
-        print(res.line())
+        print("\n".join(res.lines()))
     assert res.passed, res.detail
     assert res.seconds <= budget

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planalg.diagram import LabeledDiagram, matchings
+from planalg.diagram import LabeledDiagram, edge_kinds, matchings, star_diagram
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.planar import (
     Context,
@@ -20,7 +20,7 @@ from planalg.planar import (
     verify_tensor_iso,
 )
 from planalg.table_algebra import permutation_group_algebra
-from planalg.verlinde import make_verlinde
+from planalg.verlinde import make_verlinde, w_multiply
 
 V_INV2 = Laurent.v_power(-2)
 
@@ -189,6 +189,8 @@ def test_from_text_rejects_diagrams_outside_the_context(line, why):
     # built in code: LabeledDiagram.from_text already refuses crossings
     pytest.param(LabeledDiagram(((1, 3), (2, 4)), (0, 0)), "strands cross",
                  id="crossing built in code"),
+    pytest.param(LabeledDiagram(((1, 2), (3, 4)), (1.5, 0)),
+                 "label 1.5 is not an integer", id="non-integer label"),
 ])
 def test_element_rejects_diagrams_outside_the_context(text, why):
     ctx = Context(2, make_verlinde(2))
@@ -235,6 +237,22 @@ def test_basis_is_the_sorted_enumeration_in_index_order():
             assert all(ctx.index(d) == k for k, d in enumerate(reference))
             checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("alg", [make_verlinde(3), permutation_group_algebra(3)],
+                         ids=["V3", "S3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_star_and_twist_on_positions_match_the_diagram_definitions(n, alg):
+    ctx = Context(n, alg)
+    for k, d in enumerate(ctx.basis()):
+        assert ctx.star_position(k) == ctx.index(star_diagram(d, alg.inv))
+        kinds = edge_kinds(d.matching)
+        twisted = tuple(
+            w_multiply(alg, l) if kinds[p].transitional else l
+            for p, l in zip(d.matching, d.labels)
+        )
+        want = ctx.basis_element(LabeledDiagram(d.matching, twisted))
+        assert fusion_twist(ctx.basis_element(d)) == want
 
 
 def test_positions_out_of_range_are_refused(p22):

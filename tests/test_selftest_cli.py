@@ -1,13 +1,17 @@
 """End-to-end command line checks, run through a real subprocess."""
 
+import re
 import subprocess
 import sys
 
 import pytest
 
 from planalg import make_verlinde
+from planalg.cli import _emit
+from planalg.embed import rho_build, rho_verify_bijection
 from planalg.table_algebra import TableAlgebra
-from planalg.selftest import CHECKS, KNOWN_FAILURES, run_check
+from planalg.selftest import CHECKS, KNOWN_FAILURES, CheckResult, run_check
+from planalg.tabular import AxiomReport
 
 IDENTITY_2 = "1 * n=2 | 1-4:0 2-3:0\n"
 
@@ -199,3 +203,94 @@ def test_check_table_consistency():
     assert KNOWN_FAILURES == {11}
     res = run_check(3)
     assert res.passed and res.number == 3
+
+
+# -- report output, byte for byte (timings masked) ------------------------------
+
+AXIOMS_FLAGS = ["A1", "A2", "A3", "A4", "A5", "a_function"]
+EMBED_B3 = """\
+variant=B
+group=B3
+target=P(4,3)
+canonical_images=24
+single_unit=True
+injective=True
+image_matches=True
+bijection=True
+"""
+SELFTEST_3_11 = """\
+check 03 sqrt2-homomorphism: PASS in X.XXs (budget 1s) - phi multiplicative \
+on V_3; images 1, (1'+z')/sqrt2, z' pinned
+check 11 twist-compatibility: FAIL in X.XXs (budget 10s) - B3: fixed; \
+I2(4): fixed; I2(6): MOVED; A2: moved as required
+  (known failure: the twist moves the m = 6 dihedral image; u_4 u_1 = u_3 in V_5)
+"""
+
+GOLDEN = [
+    (("axioms", "--n", "2", "--verlinde", "2"), 0,
+     "".join(f"{k}: ok\n" for k in AXIOMS_FLAGS) + "mode: exhaustive\n"),
+    (("--machine", "axioms", "--n", "2", "--verlinde", "2"), 0,
+     "".join(f"{k}=True\n" for k in AXIOMS_FLAGS) + "exhaustive=True\n"),
+    (("--machine", "axioms", "--n", "4", "--verlinde", "2"), 0,
+     "".join(f"{k}=True\n" for k in AXIOMS_FLAGS) + "exhaustive=False\n"),
+    (("embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
+    (("--machine", "embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
+    (("conjecture", "--type", "B", "--rank", "2"), 0, """\
+group=B2
+target=P(3,3)
+elements=8
+zero_images=1
+nonzero_images=7
+fully_commutative=7
+single_unit=True
+exposed=True
+injective=True
+zero_exactly_complex=True
+ok=True
+"""),
+    (("selftest", "--only", "3,11"), 1, SELFTEST_3_11),
+    (("--machine", "selftest", "--only", "3,11"), 1, """\
+check=03 name=sqrt2-homomorphism result=pass seconds=X
+check=11 name=twist-compatibility result=fail seconds=X
+"""),
+]
+
+
+def _mask_timings(text):
+    text = re.sub(r"seconds=\d+\.\d\d", "seconds=X", text)
+    return re.sub(r" in \d+\.\d\ds ", " in X.XXs ", text)
+
+
+@pytest.mark.parametrize("args,code,stdout", GOLDEN,
+                         ids=[" ".join(args) for args, _, _ in GOLDEN])
+def test_report_output_is_pinned(args, code, stdout):
+    proc = run_cli(*args)
+    assert (proc.returncode, _mask_timings(proc.stdout)) == (code, stdout)
+
+
+def test_a_function_failure_alone_fails_the_axiom_report(capsys):
+    rep = AxiomReport(True, True, True, True, True, False, True)
+    assert not rep.ok
+    assert _emit(rep, machine=True) == 1
+    assert "a_function=False" in capsys.readouterr().out.splitlines()
+    assert _emit(rep, machine=False) == 1
+    assert "a_function: FAIL" in capsys.readouterr().out.splitlines()
+
+
+def test_embedding_report_fails_until_the_bijection_is_verified():
+    rep = rho_build("A", "A", 2)
+    assert rep.single_unit and rep.injective
+    assert not rep.ok
+    assert rep.lines()[-1] == "bijection=False"
+    assert rho_verify_bijection(rep)
+    assert rep.ok
+    assert rep.lines()[-2:] == ["image_matches=True", "bijection=True"]
+
+
+def test_check_over_budget_fails(capsys):
+    res = CheckResult(3, "slow", True, seconds=2.5, budget=1.0, detail="done")
+    assert not res.ok
+    assert res.lines(machine=True) == [
+        "check=03 name=slow result=fail seconds=2.50"]
+    assert res.lines() == ["check 03 slow: PASS in 2.50s (budget 1s) - done"]
+    assert _emit(res, machine=False) == 1
