@@ -24,11 +24,6 @@ class UsageError(Exception):
     """Bad flags or unparseable input; reported on stderr with status 2."""
 
 
-#: Ranks the group commands accept.  H4 is refused up front: the
-#: library builds its group, but its Hecke bar table does not finish.
-GROUP_RANKS = {"A": (1, 2, 3, 4), "B": (2, 3), "H": (3,), "I": (2,)}
-
-
 def _context(args) -> Context:
     if args.algebra:
         try:
@@ -46,19 +41,20 @@ def _context(args) -> Context:
 
 
 def _group(args):
+    """The Coxeter group named by --type/--rank/--m; ranks and m are
+    checked by :func:`coxeter_group`.  H4 is refused up front: the
+    library builds its group, but its Hecke bar table does not finish."""
     family = args.type
-    if family not in GROUP_RANKS:
+    if family not in ("A", "B", "H", "I"):
         raise UsageError(f"--type {family}: expected one of A, B, H, I")
-    if args.rank not in GROUP_RANKS[family]:
-        allowed = ", ".join(str(k) for k in GROUP_RANKS[family])
-        raise UsageError(f"--rank {args.rank}: type {family} supports {allowed}")
-    if family == "I":
-        if not 3 <= args.m <= 12:
-            raise UsageError("--m is required for type I and must be in 3..12")
-        return coxeter_group("I", 2, args.m)
-    if args.m:
+    if args.m and family != "I":
         raise UsageError("--m only applies to type I")
-    return coxeter_group(family, args.rank)
+    if (family, args.rank) == ("H", 4):
+        raise UsageError("--rank 4: type H supports rank 3 only (H4 does not finish)")
+    try:
+        return coxeter_group(family, args.rank, args.m)
+    except ValueError as exc:
+        raise UsageError(f"--type {family} --rank {args.rank}: {exc}") from exc
 
 
 def _read_elements(ctx: Context, args, count: int) -> list:

@@ -12,7 +12,8 @@ direction (reading a strand backwards reads the label through the
 algebra's anti-involution).
 
 This module is purely combinatorial: enumeration, edge classification,
-stacking two matchings into paths and closed loops, and splitting or
+stacking two matchings into paths and closed loops and closing one
+matching into loops (both on one strand walker), and splitting or
 joining diagrams along a horizontal cut.  The algebra (fusing labels,
 loop scalars) lives in :mod:`planalg.planar`.
 
@@ -322,13 +323,47 @@ def tensor_matched(d1: LabeledDiagram, d2: LabeledDiagram, inv) -> LabeledDiagra
     return LabeledDiagram(tuple(p for p, _ in items), tuple(l for _, l in items))
 
 
-# -- stacking ----------------------------------------------------------------
+# -- stacking and closure -------------------------------------------------------
 
-#: One traversal step through a strand: (0 for the upper diagram or 1 for
-#: the lower, the strand's pair in its own numbering, and True when the
-#: strand was entered at its odd endpoint, i.e. read against its
-#: canonical direction).
+#: One traversal step through a strand: (the layer the strand lies in, 0
+#: for the upper diagram or 1 for the lower, the strand's position in its
+#: own layer's sorted matching, and True when the strand was entered at
+#: its odd endpoint, i.e. read against its canonical direction).
 Segment = tuple
+
+
+def _ends(matching) -> dict:
+    """Each point's (partner, position of its strand in the sorted matching)."""
+    out = {}
+    for k, (a, b) in enumerate(matching):
+        out[a] = (b, k)
+        out[b] = (a, k)
+    return out
+
+
+def _walk(ends, glue, layer: int, p: int, seen: set) -> tuple:
+    """Follow strands from point p of ``layer`` through glued boundary points.
+
+    ``ends[layer]`` is that layer's :func:`_ends` map.  After crossing a
+    strand to point q, ``glue(layer, q)`` names the layer whose point
+    2n+1-q touches q (the walk continues there), or None when q is an
+    outer boundary point.  Every strand crossed is added to ``seen`` as
+    (layer, position).  Returns the segments and the outer point reached,
+    or None as that point when the walk came back to its start (a loop).
+    """
+    n2 = len(ends[layer])
+    start = (layer, p)
+    segs = []
+    while True:
+        q, k = ends[layer][p]
+        seen.add((layer, k))
+        segs.append((layer, k, p % 2 == 1))
+        nxt = glue(layer, q)
+        if nxt is None:
+            return tuple(segs), q
+        layer, p = nxt, n2 + 1 - q
+        if (layer, p) == start:
+            return tuple(segs), None
 
 
 @dataclass(frozen=True)
@@ -339,7 +374,9 @@ class Stacked:
     pair of the composite matching, ordered along the composite strand's
     canonical direction.  ``loops`` lists the segment cycles of closed
     loops created at the interface, each starting from the smallest
-    unvisited top point of the lower diagram, in that order.
+    unvisited top point of the lower diagram, in that order.  A segment
+    names its strand by the strand's position in its own layer's sorted
+    matching (see :data:`Segment`).
     """
 
     matching: tuple
@@ -354,77 +391,61 @@ def stack_matchings(m_top: tuple, m_bot: tuple) -> Stacked:
     The upper diagram's bottom point q touches the lower diagram's top
     point 2n+1-q (they share an x-coordinate).  The composite keeps the
     upper diagram's top points 1..n and the lower diagram's bottom
-    points n+1..2n.
+    points n+1..2n.  Paths are walked from their even outer endpoint,
+    which is already the canonical direction.
 
     >>> e1 = e_matching(3, 1)
     >>> s = stack_matchings(e1, e1)
     >>> s.matching == e1 and len(s.loops) == 1
     True
-    >>> stack_matchings(identity_matching(2), identity_matching(2)).loops
-    ()
+    >>> stack_matchings(identity_matching(2), identity_matching(2)).paths
+    (((1, 0, False), (0, 0, False)), ((0, 1, False), (1, 1, False)))
     """
     n = len(m_top)
     if len(m_bot) != n:
         raise ValueError("stacked diagrams must have the same number of points")
-    p_top, p_bot = partner_map(m_top), partner_map(m_bot)
-    n2 = 2 * n
-    seen_top: set = set()
-    seen_bot: set = set()
+
+    def glue(layer, q):  # the upper bottom edge meets the lower top edge
+        if layer == 0:
+            return 1 if q > n else None
+        return 0 if q <= n else None
+
+    ends = (_ends(m_top), _ends(m_bot))
+    seen: set = set()
     paths = {}
-    for start in range(1, n2 + 1):
-        if start <= n:
-            if start in seen_top:
-                continue
-            here, p = 0, start
-        else:
-            if start in seen_bot:
-                continue
-            here, p = 1, start
-        segs = []
-        while True:
-            if here == 0:
-                q = p_top[p]
-                seen_top.update((p, q))
-                segs.append((0, _pair(p, q), p % 2 == 1))
-                if q <= n:
-                    end = q
-                    break
-                here, p = 1, n2 + 1 - q
-            else:
-                q = p_bot[p]
-                seen_bot.update((p, q))
-                segs.append((1, _pair(p, q), p % 2 == 1))
-                if q > n:
-                    end = q
-                    break
-                here, p = 0, n2 + 1 - q
-        if start % 2 == end % 2:
+    for start in range(2, 2 * n + 1, 2):  # top points of layer 0, bottom of 1
+        segs, end = _walk(ends, glue, 0 if start <= n else 1, start, seen)
+        if end % 2 == 0:
             raise AssertionError("composite strand endpoints have equal parity")
-        if start % 2 == 1:  # canonical direction runs even -> odd
-            segs = [(w, pr, not ag) for w, pr, ag in reversed(segs)]
-        paths[_pair(start, end)] = tuple(segs)
-    loops = []
-    for anchor in range(1, n + 1):
-        if anchor in seen_bot:
-            continue
-        here, p = 1, anchor
-        segs = []
-        while True:
-            if here == 1:
-                q = p_bot[p]
-                seen_bot.update((p, q))
-                segs.append((1, _pair(p, q), p % 2 == 1))
-                here, p = 0, n2 + 1 - q
-            else:
-                q = p_top[p]
-                seen_top.update((p, q))
-                segs.append((0, _pair(p, q), p % 2 == 1))
-                here, p = 1, n2 + 1 - q
-            if here == 1 and p == anchor:
-                break
-        loops.append(tuple(segs))
+        paths[_pair(start, end)] = segs
+    loops = tuple(
+        _walk(ends, glue, 1, anchor, seen)[0]
+        for anchor in range(1, n + 1)
+        if (1, ends[1][anchor][1]) not in seen
+    )
     matching = tuple(sorted(paths))
-    return Stacked(matching, tuple(paths[p] for p in matching), tuple(loops))
+    return Stacked(matching, tuple(paths[p] for p in matching), loops)
+
+
+@lru_cache(maxsize=None)
+def closure_loops(matching: tuple) -> tuple:
+    """Loop decomposition of a diagram closed by arcs i -- 2n+1-i.
+
+    Each loop is a tuple of segments (0, strand position, against) in the
+    form :func:`planalg.planar.fuse` reads, the position being the
+    strand's place in the sorted matching; loops start from the smallest
+    point whose strand is not yet visited.
+
+    >>> closure_loops(identity_matching(2))
+    (((0, 0, True),), ((0, 1, False),))
+    """
+    ends = (_ends(matching),)
+    seen: set = set()
+    return tuple(  # every point q is closed onto 2n+1-q of the same layer
+        _walk(ends, lambda layer, q: 0, 0, p, seen)[0]
+        for p in range(1, 2 * len(matching) + 1)
+        if (0, ends[0][p][1]) not in seen
+    )
 
 
 # -- half-diagrams -------------------------------------------------------------

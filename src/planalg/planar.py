@@ -13,7 +13,11 @@ diagrams.
 
 The context alone numbers its basis (:meth:`Context.index`, inverse
 :meth:`Context.diagram`); elements and the product and trace tables are
-keyed by that position, and diagrams appear only at the edges.
+keyed by that position, and diagrams appear only at the edges.  The
+strand walks (:func:`stack_matchings`, :func:`closure_loops`) yield
+segments that name each strand by its position in its own diagram's
+sorted matching, which is also the position of its label, so labels
+are read straight from the decoded label tuples.
 
 Also here: the star anti-involution (vertical flip + label involution,
 bar on coefficients), the closure traces tr and tau = v^-n tr, the
@@ -38,16 +42,15 @@ from numbers import Integral
 
 from .diagram import (
     LabeledDiagram,
+    closure_loops,
     e_diagram,
     edge_kinds,
     identity_diagram,
     identity_matching,
     matchings,
-    partner_map,
     stack_matchings,
     star_matching,
     tensor_matched,
-    _pair,
 )
 from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, take
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
@@ -178,17 +181,20 @@ class Context:
         return Element._raw(self, collect(rows))
 
 
-def fuse(alg: TableAlgebra, segments, lmap_top: dict, lmap_bot: dict) -> dict:
+def fuse(alg: TableAlgebra, segments, top: tuple, bottom: tuple) -> dict:
     """Fused label element of a walked strand or loop.
 
-    Walking the segments in order, each stored label is read through the
+    Each segment (layer, position, against) names a strand by its
+    position in its own layer's sorted matching, so its stored label is
+    ``top[position]`` for layer 0 and ``bottom[position]`` for layer 1.
+    Walking the segments in order, each label is read through the
     anti-involution when the strand is traversed against its canonical
     direction, and accumulated on the left (the walk's later segments
     multiply on the left, which is how stacked boxes compose).
     """
     acc = {alg.identity: 1}
-    for where, pr, against in segments:
-        l = (lmap_top if where == 0 else lmap_bot)[pr]
+    for layer, k, against in segments:
+        l = (bottom if layer else top)[k]
         if against:
             l = alg.inv[l]
         acc = alg.mul({l: 1}, acc)
@@ -201,11 +207,11 @@ def _delta_power(k: int) -> Laurent:
     return DELTA**k
 
 
-def _loop_trace(alg: TableAlgebra, loops, lm_top: dict, lm_bot: dict) -> int:
+def _loop_trace(alg: TableAlgebra, loops, top: tuple, bottom: tuple) -> int:
     """Product over the loops of t(fused loop label); 0 once one vanishes."""
     t = 1
     for loop in loops:
-        t *= fuse(alg, loop, lm_top, lm_bot).get(alg.identity, 0)
+        t *= fuse(alg, loop, top, bottom).get(alg.identity, 0)
         if not t:
             break
     return t
@@ -225,15 +231,14 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     alg, n, rank = ctx.alg, ctx.n, ctx.alg.rank
     (m_top, l_top), (m_bot, l_bot) = ctx._decode(i), ctx._decode(j)
     stacked = stack_matchings(m_top, m_bot)
-    lm_top, lm_bot = dict(zip(m_top, l_top)), dict(zip(m_bot, l_bot))
-    loop_t = _loop_trace(alg, stacked.loops, lm_top, lm_bot)
+    loop_t = _loop_trace(alg, stacked.loops, l_top, l_bot)
     rows: dict = {}
     if loop_t:
         scalar = _delta_power(len(stacked.loops))
         base = ctx._matching_pos[stacked.matching] * rank**n
         places = [rank ** (n - 1 - s) for s in range(n)]
         strand_steps = [
-            sorted((l * w, c) for l, c in fuse(alg, segs, lm_top, lm_bot).items())
+            sorted((l * w, c) for l, c in fuse(alg, segs, l_top, l_bot).items())
             for w, segs in zip(places, stacked.paths)
         ]
         for choice in itertools.product(*strand_steps):
@@ -247,42 +252,14 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def closure_loops(matching: tuple) -> tuple:
-    """Loop decomposition of a diagram closed by arcs i -- 2n+1-i.
-
-    Each loop is a tuple of segments (0, pair, against) in the form
-    :func:`fuse` reads, starting from the smallest point not yet visited.
-    """
-    n2 = 2 * len(matching)
-    partner = partner_map(matching)
-    seen: set = set()
-    loops = []
-    for start in range(1, n2 + 1):
-        if start in seen:
-            continue
-        p = start
-        segs = []
-        while True:
-            q = partner[p]
-            seen.update((p, q))
-            segs.append((0, _pair(p, q), p % 2 == 1))
-            p = n2 + 1 - q  # the closure arc from q
-            if p == start:
-                break
-        loops.append(tuple(segs))
-    return tuple(loops)
-
-
 def trace_of_diagram(ctx: Context, k: int) -> Laurent:
     """Closure trace of the basis diagram at position k: product of loop scalars."""
     hit = ctx._trace.get(k)
     if hit is not None:
         return hit
     matching, labels = ctx._decode(k)
-    lmap = dict(zip(matching, labels))
     loops = closure_loops(matching)
-    t = _loop_trace(ctx.alg, loops, lmap, lmap)
+    t = _loop_trace(ctx.alg, loops, labels, labels)
     total = _delta_power(len(loops)) * t if t else ZERO
     ctx._trace[k] = total
     return total

@@ -83,7 +83,7 @@ class CheckResult:
                 f"check={self.number:02d} name={self.name} "
                 f"result={'pass' if self.ok else 'fail'} seconds={self.seconds:.2f}"
             ]
-        word = "PASS" if self.passed else "FAIL"
+        word = "PASS" if self.ok else "FAIL"
         out = [
             f"check {self.number:02d} {self.name}: {word} "
             f"in {self.seconds:.2f}s (budget {self.budget:g}s) - {self.detail}"
@@ -273,9 +273,8 @@ def _form_fixture(variant, fam, rank, m):
     tau_rho = [emb.t_image(w).tau() for w in q.wc]
 
     def form(x, y):
-        ystar = {q.pos[q.g.inverse[q.wc[k]]]: c for k, c in y.items()}
         rows: dict = {}
-        for k, c in q.mul(x, ystar).items():
+        for k, c in q.mul(x, q.star(y)).items():
             addmul(rows, 0, c, tau_rho[k])
         return take(rows, 0)
 

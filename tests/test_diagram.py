@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from planalg.diagram import (
     HalfDiagram,
     LabeledDiagram,
+    closure_loops,
     e_matching,
     edge_kinds,
     half_arcs,
@@ -81,6 +82,24 @@ def test_stacking_e_squared_makes_one_loop():
     stacked = stack_matchings(e1, e1)
     assert stacked.matching == e1
     assert len(stacked.loops) == 1
+
+
+def _strands_walked(walks):
+    return sorted((layer, k) for segs in walks for layer, k, _ in segs)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_stacking_walks_every_strand_of_each_layer_once(n):
+    both = [(layer, k) for layer in (0, 1) for k in range(n)]
+    for m_top, m_bot in itertools.product(matchings(n), repeat=2):
+        stacked = stack_matchings(m_top, m_bot)
+        assert _strands_walked(stacked.paths + stacked.loops) == both
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closure_walks_every_strand_once(n):
+    for m in matchings(n):
+        assert _strands_walked(closure_loops(m)) == [(0, k) for k in range(n)]
 
 
 def test_star_diagram_is_an_involution():

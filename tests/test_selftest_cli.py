@@ -139,6 +139,9 @@ def test_conjecture_exit_zero():
     (("embed", "--type", "Q", "--rank", "2"), ""),
     (("selftest", "--only", "99"), ""),
     (("tlbasis", "--type", "I", "--rank", "2", "--m", "2"), ""),
+    (("tlbasis", "--type", "A", "--rank", "5"), ""),
+    (("embed", "--type", "B", "--rank", "4"), ""),
+    (("conjecture", "--type", "I", "--rank", "2", "--m", "13"), ""),
 ])
 def test_usage_errors_exit_two(args, stdin):
     proc = run_cli(*args, stdin=stdin)
@@ -292,5 +295,5 @@ def test_check_over_budget_fails(capsys):
     assert not res.ok
     assert res.lines(machine=True) == [
         "check=03 name=slow result=fail seconds=2.50"]
-    assert res.lines() == ["check 03 slow: PASS in 2.50s (budget 1s) - done"]
+    assert res.lines() == ["check 03 slow: FAIL in 2.50s (budget 1s) - done"]
     assert _emit(res, machine=False) == 1
