@@ -10,10 +10,6 @@ Run:  python3 demos/canonical_images.py
 from planalg import admissible, coxeter_group, hecke, rho_build, tl
 
 
-def word(g, w):
-    return "".join(str(s + 1) for s in g.rwords[w]) or "e"
-
-
 def main():
     g = coxeter_group("B", 2)
     print(f"Group {g.name}: order {g.order}, longest element length "
@@ -22,16 +18,16 @@ def main():
     h = hecke(g)
     print("\nKazhdan-Lusztig polynomials P_{e,w}:")
     for w in range(g.order):
-        print(f"  P[e, {word(g, w):>4}] = {h.kl_polynomial(0, w)}")
+        print(f"  P[e, {g.word(w):>4}] = {h.kl_polynomial(0, w)}")
 
     q = tl(g)
     print(f"\nFully commutative elements ({len(q.wc)}):",
-          ", ".join(word(g, w) for w in q.wc))
+          ", ".join(g.word(w) for w in q.wc))
 
     rep = rho_build("B", "B", 2)
     print(f"\nDiagram images in P(3,3) (injective: {rep.injective}):")
     for w in q.wc:
-        print(f"  c[{word(g, w):>4}] -> {rep.images[w].to_text()}")
+        print(f"  c[{g.word(w):>4}] -> {rep.images[w].to_text()}")
 
     adm = admissible("B", rep.embedding.ctx)
     same = set(rep.images.values()) == set(adm.members)

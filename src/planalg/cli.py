@@ -14,7 +14,7 @@ from .coxeter import coxeter_group
 from .embed import conjecture_436_check, drank_sequence, rho_build, rho_verify_bijection
 from .planar import Context, fusion_twist
 from .selftest import CHECKS, run_check
-from .table_algebra import TableAlgebra
+from .table_algebra import TableAlgebra, check_algebra
 from .tabular import datum_build
 from .tl import tl
 from .verlinde import make_verlinde
@@ -31,6 +31,12 @@ def _context(args) -> Context:
                 alg = TableAlgebra.from_text(fh.read())
         except (OSError, ValueError) as exc:
             raise UsageError(f"--algebra {args.algebra}: {exc}") from exc
+        report = check_algebra(alg)
+        if not report.ok:
+            flag = next(name for name, ok in report.flags().items() if not ok)
+            raise UsageError(
+                f"--algebra {args.algebra}: fails {flag}: {report.witnesses[0]}"
+            )
     elif args.verlinde:
         alg = make_verlinde(args.verlinde)
     else:
@@ -151,13 +157,9 @@ def cmd_tlbasis(args) -> int:
     print(f"group: {q.g.name}")
     print(f"wc: {q.rank}")
     for w in q.wc:
-        word = "".join(str(s + 1) for s in q.g.rwords[w]) or "e"
         unit = q.canonical_unit(w)
-        parts = []
-        for k in sorted(unit):
-            zword = "".join(str(s + 1) for s in q.g.rwords[q.wc[k]]) or "e"
-            parts.append(f"({unit[k]}) t~[{zword}]")
-        print(f"c[{word}] = " + " + ".join(parts))
+        parts = [f"({unit[k]}) t~[{q.g.word(q.wc[k])}]" for k in sorted(unit)]
+        print(f"c[{q.g.word(w)}] = " + " + ".join(parts))
     try:
         q.cross_check_canonical()
     except AssertionError as exc:

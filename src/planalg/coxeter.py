@@ -98,6 +98,18 @@ class CoxeterGroup:
             s for s in range(self.rank) if self.lengths[self.left[i][s]] < self.lengths[i]
         )
 
+    def word(self, w: int) -> str:
+        """A reduced word of w, generators numbered from 1; "e" for the identity.
+
+        >>> coxeter_group("A", 2).word(3)
+        '12'
+        """
+        return "".join(str(s + 1) for s in self.rwords[w]) or "e"
+
+    def dihedral_members(self, s: int, t: int) -> set:
+        """Group indices of the parabolic subgroup generated by s and t."""
+        return set(_bfs(2, 0, lambda w, k: self.right[w][(s, t)[k]])[0])
+
     def dihedral_longest(self, s: int, t: int) -> int:
         """The longest element of the parabolic subgroup <s, t>."""
         word = [s if k % 2 == 0 else t for k in range(self.bonds[s][t])]

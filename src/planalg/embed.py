@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterGroup, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
 from .hecke import hecke
-from .laurent import Laurent, ONE, addmul, collect
+from .laurent import Laurent, ONE, lincomb
 from .planar import Context, Element, fusion_twist, is_exposed
 from .table_algebra import TableAlgebra
 from .tl import TL, tl
@@ -203,7 +203,7 @@ class DiagramEmbedding:
             if left != right:
                 raise AssertionError(f"braid relation fails at pair ({s},{t})")
         for s, t in self.g.bond_pairs():
-            total = self.rho_hecke(dict.fromkeys(self.tl.dihedral_members(s, t), 1))
+            total = self.rho_hecke(dict.fromkeys(self.g.dihedral_members(s, t), 1))
             if not total.is_zero():
                 raise AssertionError(f"ideal generator for ({s},{t}) does not vanish")
 
@@ -213,21 +213,16 @@ class DiagramEmbedding:
         """Image of T_w, folding the fixed reduced word with memoization."""
         got = self._timage.get(w)
         if got is None:
-            word = self.g.rwords[w]
-            prefix = 0
-            for s in word[:-1]:
-                prefix = self.g.right[prefix][s]
-            got = self.t_image(prefix) * self._that[word[-1]]
+            s = self.g.rwords[w][-1]
+            got = self.t_image(self.g.right[w][s]) * self._that[s]
             self._timage[w] = got
         return got
 
     def rho_hecke(self, x: dict) -> Element:
         """Image of a Hecke element in the T-basis (group-indexed)."""
-        rows: dict = {}
-        for w, c in x.items():
-            for d, e in self.t_image(w).terms.items():
-                addmul(rows, d, e, c)
-        return Element._raw(self.ctx, collect(rows))
+        return Element._raw(
+            self.ctx, lincomb((c, self.t_image(w).terms) for w, c in x.items())
+        )
 
     def rho(self, x: dict) -> Element:
         """Image of a quotient element in the t-basis (position-keyed)."""
@@ -335,7 +330,7 @@ def rho_verify_bijection(report: EmbeddingReport) -> bool:
                 f"image set mismatch: extra={len(got - want)} missing={len(want - got)}"
             )
     else:
-        ok = got <= set(ctx.d_basis())
+        ok = all(is_exposed(d, ctx.alg) for d in got)
         if not ok:
             report.witnesses.append("image leaves the exposed basis")
     if ok and report.variant == "I":
@@ -445,7 +440,6 @@ def conjecture_436_check(family: str, rank: int, m: int = 0) -> ConjectureReport
     g = coxeter_group(family, rank, m)
     emb = DiagramEmbedding(g, "uniform")
     wc_set = set(emb.tl.wc)
-    exposed = set(emb.ctx.d_basis())
     seen = {}
     zero_count = 0
     all_single = all_exposed = zero_matches = True
@@ -467,7 +461,7 @@ def conjecture_436_check(family: str, rank: int, m: int = 0) -> ConjectureReport
             witnesses.append(f"image of element {w} is not a unit diagram")
             continue
         (d,) = el.support()
-        if d not in exposed:
+        if not is_exposed(d, emb.ctx.alg):
             all_exposed = False
             witnesses.append(f"image of element {w} is not exposed")
         seen.setdefault(d, []).append(w)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
-from .laurent import Laurent, ONE, ZERO, addmul, collect, take
+from .laurent import Laurent, ONE, ZERO, addmul, collect, lincomb, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
@@ -81,12 +81,10 @@ def ic_solve(rows: list) -> list:
 
 def bar_apply(bar_table: list, x: dict) -> dict:
     """bar(x), semilinear over the coefficients, through the bar table."""
-    rows: dict = {}
-    for y, c in x.items():
-        cb = c.bar() if isinstance(c, Laurent) else c
-        for z, d in bar_table[y].items():
-            addmul(rows, z, d, cb)
-    return collect(rows)
+    return lincomb(
+        (c.bar() if isinstance(c, Laurent) else c, bar_table[y])
+        for y, c in x.items()
+    )
 
 
 def canonical_solve(bar_table: list, lengths) -> list:
@@ -163,11 +161,7 @@ class Hecke:
         return x
 
     def mul(self, x: dict, y: dict) -> dict:
-        rows: dict = {}
-        for w, c in y.items():
-            for z, d in self.mul_t(x, w).items():
-                addmul(rows, z, d, c)
-        return collect(rows)
+        return lincomb((c, self.mul_t(x, w)) for w, c in y.items())
 
     # -- bar involution ---------------------------------------------------
 
@@ -176,18 +170,16 @@ class Hecke:
         """bar(T_w) = (T_{w^-1})^-1 for every w, built along reduced words.
 
         bar is a ring map, so bar(T_u T_s) = bar(T_u) bar(T_s) with
-        bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1) T_e; the prefix u of
-        each reduced word always has a smaller index.
+        bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1) T_e; for s the last
+        letter of the reduced word of w, the prefix u = ws always has a
+        smaller index.
         """
+        g = self.g
         table = [self.one()]
-        for i in range(1, self.g.order):
-            word = self.g.rwords[i]
-            u = 0
-            for s in word[:-1]:
-                u = self.g.right[u][s]
-            last = word[-1]
-            bar_ts = {0: _QINV_MINUS_1, self.g.right[0][last]: _QINV}
-            table.append(self.mul(table[u], bar_ts))
+        for w in range(1, g.order):
+            s = g.rwords[w][-1]
+            bar_ts = {0: _QINV_MINUS_1, g.right[0][s]: _QINV}
+            table.append(self.mul(table[g.right[w][s]], bar_ts))
         return table
 
     def bar_t(self, w: int) -> dict:

@@ -8,10 +8,13 @@ distinguished element ``delta = v + v^-1``.  Exponents and coefficients
 are exact integers; anything that is not ``numbers.Integral`` is
 refused with ``TypeError`` rather than truncated.
 
-Sparse combinations ``sum_k c_k x_k`` with Laurent coefficients are built
-with one accumulation kernel instead of ``acc[k] = acc.get(k) + c * d``,
-which would allocate a product, copy the accumulated dict and wrap it
-again for every term.  A combination under construction is a dict
+Sparse combinations ``sum_k c_k x_k`` of vectors ``{key: Laurent}`` are
+built by :func:`lincomb` from the ``(c_k, x_k)`` pairs.  It runs on one
+accumulation kernel, called directly only by loops that read or take
+rows mid-build, relabel keys per term or sum scalars.  The kernel
+replaces ``acc[k] = acc.get(k) + c * d``, which would allocate a
+product, copy the accumulated dict and wrap it again for every term.
+A combination under construction is a dict
 ``rows = {key: {exponent: int}}`` of *private rows*:
 
 * :func:`addmul` adds ``a * b`` (or ``a``, or ``a`` times an integer)
@@ -403,6 +406,24 @@ def collect(rows: dict) -> dict:
         if coeffs:
             out[key] = Laurent._raw(coeffs)
     return out
+
+
+def lincomb(pairs) -> dict:
+    """The sum of ``c * vec`` over the ``(c, vec)`` pairs, as a clean
+    ``{key: Laurent}`` dict without zero values.
+
+    ``c`` is a Laurent or an integer and ``vec`` a ``{key: Laurent}``
+    dict; ``pairs`` is any iterable, a generator included.  Neither the
+    coefficients nor the vectors are modified.
+
+    >>> lincomb([(2, {"x": ONE, "y": V}), (V, {"x": V_INV, "y": -2})])
+    {'x': Laurent('3')}
+    """
+    rows: dict = {}
+    for c, vec in pairs:
+        for key, x in vec.items():
+            addmul(rows, key, x, c)
+    return collect(rows)
 
 
 class QSqrt2:

@@ -52,7 +52,7 @@ from .diagram import (
     star_matching,
     tensor_matched,
 )
-from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, take
+from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, lincomb, take
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 from .verlinde import w_multiply
 
@@ -312,11 +312,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_ctx(other)
-        rows: dict = {}
-        for terms in (self.terms, other.terms):
-            for k, c in terms.items():
-                addmul(rows, k, c)
-        return Element._raw(self.ctx, collect(rows))
+        return Element._raw(self.ctx, lincomb(((1, self.terms), (1, other.terms))))
 
     def __neg__(self):
         return Element._raw(self.ctx, {k: -c for k, c in self.terms.items()})
@@ -333,16 +329,13 @@ class Element:
             return NotImplemented
         self._check_ctx(other)
         ctx = self.ctx
-        rows: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                prod = diagram_product(ctx, k1, k2)
-                if not prod:
-                    continue
-                c = c1 * c2
-                for k, g in prod.items():
-                    addmul(rows, k, c, g)
-        return Element._raw(ctx, collect(rows))
+        # A vanishing diagram product is skipped before c1 * c2 is formed.
+        return Element._raw(ctx, lincomb(
+            (c1 * c2, prod)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+            if (prod := diagram_product(ctx, k1, k2))
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -435,13 +428,12 @@ def tensor_elements(x: Element, y: Element, target: Context) -> Element:
     """
     if target.n != x.ctx.n + y.ctx.n or target.alg != x.ctx.alg or target.alg != y.ctx.alg:
         raise ValueError("target context does not match the juxtaposition")
-    inv = target.alg.inv
-    rows: dict = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            d = tensor_matched(x.ctx.diagram(k1), y.ctx.diagram(k2), inv)
-            addmul(rows, target.index(d), c1, c2)
-    return Element._raw(target, collect(rows))
+    inv, dx, dy = target.alg.inv, x.ctx.diagram, y.ctx.diagram
+    return Element._raw(target, lincomb(
+        (c1, {target.index(tensor_matched(dx(k1), dy(k2), inv)): c2})
+        for k1, c1 in x.terms.items()
+        for k2, c2 in y.terms.items()
+    ))
 
 
 def p_tensor_embed(ctx: Context, indices: tuple) -> LabeledDiagram:

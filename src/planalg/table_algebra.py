@@ -25,7 +25,8 @@ class TableAlgebra:
     """A based Z-algebra with nonnegative integer structure constants.
 
     ``rows`` maps a pair of basis indices (i, j) to the sparse product
-    row {m: kappa(i,j,m)}; absent pairs multiply to zero.  ``inv`` is
+    row {m: kappa(i,j,m)}; absent pairs multiply to zero, and an index
+    outside 0..rank-1 raises ``ValueError``.  ``inv`` is
     the basis permutation of the anti-involution; ``labels`` are display
     names for basis elements.
 
@@ -44,11 +45,17 @@ class TableAlgebra:
         self.rank = int(rank)
         self.identity = int(identity)
         self.inv = tuple(inv)
-        self.rows = {
-            (i, j): {m: int(c) for m, c in row.items() if c}
-            for (i, j), row in rows.items()
-        }
-        self.rows = {key: row for key, row in self.rows.items() if row}
+        self.rows = {}
+        for (i, j), row in rows.items():
+            bad = [k for k in (i, j, *row) if not 0 <= k < self.rank]
+            if bad:
+                raise ValueError(
+                    f"structure constant of b{i} b{j} names index {bad[0]} "
+                    f"outside 0..{self.rank - 1}"
+                )
+            row = {m: int(c) for m, c in row.items() if c}
+            if row:
+                self.rows[(i, j)] = row
         if labels is None:
             labels = tuple(f"b{i}" for i in range(self.rank))
         self.labels = tuple(labels)

@@ -39,7 +39,7 @@ from .coxeter import CoxeterGroup, coxeter_group, wc_classify
 from .hecke import (
     Hecke, bar_apply, canonical_coords, canonical_solve, from_unit, hecke,
 )
-from .laurent import Laurent, ONE, V_INV, addmul, collect
+from .laurent import Laurent, ONE, V_INV, lincomb
 
 
 class TL:
@@ -73,14 +73,11 @@ class TL:
             if y in self.pos:
                 table.append({self.pos[y]: ONE})
                 continue
-            rows: dict = {}
-            for z, p in self.h.cprime_unit(y).items():
-                if z == y:
-                    continue
-                c = -p.shift(g.lengths[y] - g.lengths[z])
-                for k, d in table[z].items():
-                    addmul(rows, k, c, d)
-            table.append(collect(rows))
+            table.append(lincomb(
+                (-p.shift(g.lengths[y] - g.lengths[z]), table[z])
+                for z, p in self.h.cprime_unit(y).items()
+                if z != y
+            ))
         return table
 
     def _verify_quotient(self) -> None:
@@ -89,7 +86,7 @@ class TL:
         complex_set = set(self.complex)
         for s, t in g.bond_pairs():
             m = g.bonds[s][t]
-            members = self.dihedral_members(s, t)
+            members = g.dihedral_members(s, t)
             if len(members) != 2 * m:
                 raise AssertionError("dihedral parabolic has wrong size")
             top = g.dihedral_longest(s, t)
@@ -109,20 +106,6 @@ class TL:
                             f"kernel span not an ideal at C'_{s} * C'_{w}"
                         )
 
-    def dihedral_members(self, s: int, t: int) -> set:
-        """Group indices of the parabolic subgroup generated by s and t."""
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for u in (self.g.right[w][s], self.g.right[w][t]):
-                    if u not in members:
-                        members.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return members
-
     # -- linear structure ----------------------------------------------------
 
     def t(self, w: int) -> dict:
@@ -138,24 +121,13 @@ class TL:
 
     def theta(self, x: dict) -> dict:
         """Image in the quotient of a Hecke element in the T-basis."""
-        rows: dict = {}
-        for y, c in x.items():
-            for k, d in self._theta_t[y].items():
-                addmul(rows, k, d, c)
-        return collect(rows)
+        return lincomb((c, self._theta_t[y]) for y, c in x.items())
 
     def add(self, x: dict, y: dict) -> dict:
-        rows: dict = {}
-        for z in (x, y):
-            for k, c in z.items():
-                addmul(rows, k, c)
-        return collect(rows)
+        return lincomb(((1, x), (1, y)))
 
     def scale(self, x: dict, c) -> dict:
-        rows: dict = {}
-        for k, d in x.items():
-            addmul(rows, k, d, c)
-        return collect(rows)
+        return lincomb(((c, x),))
 
     # -- multiplication ------------------------------------------------------
 
@@ -170,13 +142,11 @@ class TL:
         return got
 
     def mul(self, x: dict, y: dict) -> dict:
-        rows: dict = {}
-        for ku, c in x.items():
-            for kw, d in y.items():
-                cd = c * d
-                for k, e in self.t_mul(ku, kw).items():
-                    addmul(rows, k, e, cd)
-        return collect(rows)
+        return lincomb(
+            (c * d, self.t_mul(ku, kw))
+            for ku, c in x.items()
+            for kw, d in y.items()
+        )
 
     # -- bar and star ----------------------------------------------------------
 
@@ -226,11 +196,9 @@ class TL:
         """Deterministic rendering in the t-basis, sorted by position."""
         if not x:
             return "0"
-        parts = []
-        for k in sorted(x):
-            word = "".join(str(s + 1) for s in self.g.rwords[self.wc[k]])
-            parts.append(f"({x[k]}) t[{word or 'e'}]")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({x[k]}) t[{self.g.word(self.wc[k])}]" for k in sorted(x)
+        )
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from planalg.laurent import (
     ZERO,
     addmul,
     collect,
+    lincomb,
     take,
     vneg_congruent,
 )
@@ -214,3 +215,48 @@ def test_kernel_never_mutates_its_inputs(ops, more):
     assert {k: c._c for k, c in got.items()} == kept
     assert taken == _naive(ops + more + ops).get("a", ZERO)
     assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})
+
+
+coefficients = st.one_of(st.integers(-3, 3), operands)
+vectors = st.dictionaries(st.sampled_from("abc"), operands, max_size=3)
+combinations = st.lists(st.tuples(coefficients, vectors), max_size=6)
+
+
+def _naive_lincomb(pairs):
+    out = {}
+    for c, vec in pairs:
+        for key, x in vec.items():
+            out[key] = out.get(key, ZERO) + c * x
+    return {k: c for k, c in out.items() if c}
+
+
+@given(combinations, st.booleans())
+def test_lincomb_matches_naive_sums(pairs, cancel):
+    if cancel:  # append every pair with its coefficient negated: all keys cancel
+        pairs = pairs + [(-c, vec) for c, vec in pairs]
+
+    def snapshot():
+        return [
+            (c._c.copy() if isinstance(c, Laurent) else c,
+             {k: x._c.copy() for k, x in vec.items()})
+            for c, vec in pairs
+        ]
+
+    before = snapshot()
+    got = lincomb(pair for pair in pairs)
+    assert got == _naive_lincomb(pairs)
+    assert all(_clean(c) for c in got.values())
+    if cancel:
+        assert got == {}
+    assert lincomb(pairs) == got
+    assert snapshot() == before
+    assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})
+
+
+def test_lincomb_edge_cases():
+    assert lincomb([]) == {}
+    assert lincomb(iter(())) == {}
+    assert lincomb([(0, {"a": DELTA}), (DELTA, {"b": ZERO})]) == {}
+    got = lincomb([(1, {"a": ONE}), (V, {"a": V_INV})])
+    assert got == {"a": Laurent(2)} and got["a"] is not ONE
+

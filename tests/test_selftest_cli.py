@@ -9,7 +9,9 @@ import pytest
 from planalg import make_verlinde
 from planalg.cli import _emit
 from planalg.embed import rho_build, rho_verify_bijection
-from planalg.table_algebra import TableAlgebra
+from planalg.table_algebra import (
+    TableAlgebra, cyclic_group_algebra, permutation_group_algebra,
+)
 from planalg.selftest import CHECKS, KNOWN_FAILURES, CheckResult, run_check
 from planalg.tabular import AxiomReport
 
@@ -161,6 +163,29 @@ def test_bad_diagrams_exit_two_with_a_message(command, line):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("planalg: cannot parse element")
+
+
+Z2 = cyclic_group_algebra(2).to_text()
+
+
+@pytest.mark.parametrize("text,message", [
+    (Z2 + "1 1 3 1\n", "structure constant of b1 b1 names index 3 outside 0..1"),
+    (Z2.replace("1 1 0 1", "1 1 0 -1"), "fails t1: kappa(1,1,0) = -1"),
+    (Z2.replace("1 1 0 1", "1 1 0 2"),
+     "fails t3_normalized: kappa(b1, b0 b1) != kappa(b0, b1 b1)"),
+    (Z2.replace("inv: 0 1", "inv: 1 0"), "fails t2: anti-involution moves the identity"),
+    (permutation_group_algebra(3).to_text(), None),
+])
+def test_algebra_files_are_checked(tmp_path, text, message):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    square = "1 * n=2 | 1-4:0 2-3:1\n--\n1 * n=2 | 1-4:0 2-3:1\n"
+    proc = run_cli("mul", "--n", "2", "--algebra", str(path), stdin=square)
+    if message is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"planalg: --algebra {path}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["tlbasis", "embed", "conjecture"])

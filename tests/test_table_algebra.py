@@ -69,6 +69,16 @@ def test_broken_identity_is_flagged():
     assert not check_algebra(bad).identity
 
 
+@pytest.mark.parametrize("rows", [
+    {(0, 2): {0: 1}},
+    {(-1, 0): {0: 1}},
+    {(1, 1): {3: 1}},
+])
+def test_out_of_range_structure_constants_are_refused(rows):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        TableAlgebra(2, 0, (0, 1), rows)
+
+
 def test_mul_trace_support():
     alg = cyclic_group_algebra(3)
     x = {1: 2, 2: 1}

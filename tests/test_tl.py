@@ -44,7 +44,7 @@ def test_ideal_generators_die():
         q = tl(coxeter_group(family, rank, m))
         for s, t in q.g.bond_pairs():
             total = {}
-            for w in q.dihedral_members(s, t):
+            for w in q.g.dihedral_members(s, t):
                 total = q.add(total, q.theta(q.h.t(w)))
             assert total == {}
 
