@@ -2,9 +2,9 @@
 
 Each group is enumerated once by breadth-first search over a faithful
 right action on hashable states: one-line permutations for type A,
-signed permutations for type B (the sign flip is generator 0), images
-of the simple roots over Z[phi] for type H, and the dihedral action on
-Z/m for I_2(m).  Elements are the integers 0..order-1 ordered by
+signed permutations for type B (the sign flip is generator 0), the
+orbit of one regular vector over Z[phi] for type H, and the dihedral
+action on Z/m for I_2(m).  Elements are the integers 0..order-1 ordered by
 (length, lexicographically least reduced word); index 0 is the
 identity.  The tables give right and left multiplication by
 generators, inverses, lengths and reduced words, which is everything
@@ -30,9 +30,15 @@ import itertools
 import math
 from functools import lru_cache, reduce
 
-# 2cos(pi/m) for the bond strengths appearing in types A, B-as-I, H;
-# exact values in Z[phi] as (integer, phi-coefficient) pairs.
-_TWO_COS = {2: (0, 0), 3: (1, 0), 5: (0, 1)}
+# 2cos(pi/m) for the joined bond strengths of type H, exact in Z[phi]
+# as (integer, phi-coefficient) pairs.
+_TWO_COS = {3: (1, 0), 5: (0, 1)}
+
+# Start vectors for type H, in simple-root coordinates, strictly inside
+# the fundamental chamber: every coordinate of B c is positive, where B
+# is the Gram matrix (B_ii = 1, B_ij = -cos(pi/m_ij)).  Such a vector is
+# regular, so its orbit under W is faithful.
+_H_REGULAR = {3: (10, 12, 7), 4: (188, 231, 156, 79)}
 
 
 def _zphi_mul(x: tuple, y: tuple) -> tuple:
@@ -87,6 +93,18 @@ class CoxeterGroup:
     def mult(self, i: int, j: int) -> int:
         """Group product w_i w_j by folding a reduced word of w_j."""
         return reduce(lambda a, s: self.right[a][s], self.rwords[j], i)
+
+    def prefix(self, w: int) -> tuple:
+        """Split w = u s by the last letter s of its reduced word; returns (u, s).
+
+        u = w s is one shorter, and rwords[u] is rwords[w] without its
+        last letter.  w must not be the identity.
+
+        >>> coxeter_group("A", 2).prefix(5)
+        (3, 0)
+        """
+        s = self.rwords[w][-1]
+        return self.right[w][s], s
 
     def right_descents(self, i: int) -> frozenset:
         return frozenset(
@@ -146,33 +164,30 @@ def _chain_bonds(rank: int, first: int) -> tuple:
 
 
 def _root_action(bonds: tuple):
+    """The reflection action on a vector in simple-root coordinates.
+
+    s_i changes only coordinate i: c_i' = -c_i + sum over j != i of
+    2cos(pi/m_ij) c_j.  The state of w is w^-1 applied to the start
+    vector, so the action is a right action on the group.
+    """
     rank = len(bonds)
     coef = [
-        [_TWO_COS[bonds[s][j]] if j != s else None for j in range(rank)]
+        [(j, _TWO_COS[bonds[s][j]]) for j in range(rank) if j != s and bonds[s][j] >= 3]
         for s in range(rank)
     ]
 
     def act(state: tuple, s: int) -> tuple:
-        new = []
-        for j in range(rank):
-            if j == s:
-                new.append(tuple((-a, -b) for a, b in state[s]))
-            else:
-                c = coef[s][j]
-                new.append(
-                    tuple(
-                        (va + ca, vb + cb)
-                        for (va, vb), (ca, cb) in zip(
-                            state[j], (_zphi_mul(c, w) for w in state[s])
-                        )
-                    )
-                )
+        a, b = state[s]
+        a, b = -a, -b
+        for j, c in coef[s]:
+            x, y = _zphi_mul(c, state[j])
+            a += x
+            b += y
+        new = list(state)
+        new[s] = (a, b)
         return tuple(new)
 
-    start = tuple(
-        tuple((1, 0) if i == j else (0, 0) for j in range(rank)) for i in range(rank)
-    )
-    return start, act
+    return act
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +236,8 @@ def coxeter_group(family: str, rank: int, m: int = 0) -> CoxeterGroup:
         if rank not in (3, 4):
             raise ValueError("type H supports ranks 3 and 4")
         bonds = _chain_bonds(rank, 5)
-        start, act = _root_action(bonds)
-        states, right = _bfs(rank, start, act)
+        start = tuple((c, 0) for c in _H_REGULAR[rank])
+        states, right = _bfs(rank, start, _root_action(bonds))
         expect = 120 if rank == 3 else 14400
         name = f"H{rank}"
     elif family == "I":

@@ -213,8 +213,8 @@ class DiagramEmbedding:
         """Image of T_w, folding the fixed reduced word with memoization."""
         got = self._timage.get(w)
         if got is None:
-            s = self.g.rwords[w][-1]
-            got = self.t_image(self.g.right[w][s]) * self._that[s]
+            u, s = self.g.prefix(w)
+            got = self.t_image(u) * self._that[s]
             self._timage[w] = got
         return got
 

@@ -161,7 +161,23 @@ class Hecke:
         return x
 
     def mul(self, x: dict, y: dict) -> dict:
-        return lincomb((c, self.mul_t(x, w)) for w, c in y.items())
+        """The product x * y, folding each reduced-word prefix once.
+
+        x * T_w = (x * T_u) * T_s for (u, s) = g.prefix(w), so x * T_u is
+        memoized over the prefixes of the support of y: each element of
+        their closure costs one :meth:`mul_gen`, not l(w) of them.
+        """
+        g = self.g
+        memo = {0: x}
+        for w in y:
+            chain = []
+            while w not in memo:
+                u, s = g.prefix(w)
+                chain.append((w, u, s))
+                w = u
+            for w, u, s in reversed(chain):
+                memo[w] = self.mul_gen(memo[u], s)
+        return lincomb((c, memo[w]) for w, c in y.items())
 
     # -- bar involution ---------------------------------------------------
 
@@ -177,9 +193,9 @@ class Hecke:
         g = self.g
         table = [self.one()]
         for w in range(1, g.order):
-            s = g.rwords[w][-1]
+            u, s = g.prefix(w)
             bar_ts = {0: _QINV_MINUS_1, g.right[0][s]: _QINV}
-            table.append(self.mul(table[g.right[w][s]], bar_ts))
+            table.append(self.mul(table[u], bar_ts))
         return table
 
     def bar_t(self, w: int) -> dict:

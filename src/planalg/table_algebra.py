@@ -143,6 +143,9 @@ class TableAlgebra:
     def from_text(cls, text: str) -> "TableAlgebra":
         """Parse the format written by :meth:`to_text`.
 
+        Each header line and each (i, j, m) may be given once; a
+        repeated line raises ValueError naming it.
+
         >>> a = cyclic_group_algebra(4)
         >>> TableAlgebra.from_text(a.to_text()).rows == a.rows
         True
@@ -158,17 +161,22 @@ class TableAlgebra:
                 fields = line.split()
                 if len(fields) != 4 or fields[2] != "identity":
                     raise ValueError(f"bad header line: {raw!r}")
+                _refuse_repeat(rank, raw)
                 rank, identity = int(fields[1]), int(fields[3])
             elif line.startswith("inv:"):
+                _refuse_repeat(inv, raw)
                 inv = tuple(int(t) for t in line[4:].split())
             elif line.startswith("labels:"):
+                _refuse_repeat(labels, raw)
                 labels = tuple(line[7:].split())
             else:
                 fields = line.split()
                 if len(fields) != 4:
                     raise ValueError(f"bad structure-constant line: {raw!r}")
                 i, j, m, c = (int(t) for t in fields)
-                rows.setdefault((i, j), {})[m] = c
+                row = rows.setdefault((i, j), {})
+                _refuse_repeat(row.get(m), raw)
+                row[m] = c
         if rank is None or inv is None:
             raise ValueError("missing 'rank ... identity ...' or 'inv:' line")
         return cls(rank, identity, inv, rows, labels)
@@ -188,6 +196,12 @@ class TableAlgebra:
 
     def __hash__(self):
         return hash((self.rank, self.identity, self.inv))
+
+
+def _refuse_repeat(previous, raw: str) -> None:
+    """A table line may set each value once; a second setting is refused."""
+    if previous is not None:
+        raise ValueError(f"repeated line: {raw!r}")
 
 
 @dataclass

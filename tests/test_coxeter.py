@@ -1,5 +1,7 @@
 """Finite Coxeter groups: orders, lengths, descents, cell classification."""
 
+import hashlib
+
 import pytest
 
 from planalg.coxeter import coxeter_group, wc_classify
@@ -122,3 +124,39 @@ def test_largest_group_census():
     assert g.order == 14400
     wc, _ = wc_classify(g)
     assert len(wc) == 195
+
+
+# sha256 of repr() of each table, recorded from the simple-root-image
+# enumeration of type H; any change of element numbering shows here.
+H_TABLE_DIGESTS = {
+    3: {
+        "right": "72c7894a67127039e1d9a22aa915d80d1d68c3db98c11942a93bdbcdef3b7e85",
+        "lengths": "f60fe740bf4966c7fad26f59bea09e013b1f1da6235a4870e4fd4cacd462e663",
+        "rwords": "9957b83b977b165e8607bffdb8575193b89a952724cbd08dfafe8b53faf73d98",
+        "inverse": "ba2c8bca775a6d6e188e1e201cbd8a9fd641e43954c9f8589bddc9e6e418df22",
+    },
+    4: {
+        "right": "6c2dc2e4cbbcb45668cf30fd1692742369357c3f65f3c9228673e367a995aa4e",
+        "lengths": "0b8715a3f7371607736fb5abf174b9e15fdbe3ab96781f8ee47d3571cc1b0505",
+        "rwords": "1c12c8b541cce4fe67cadb2427ea0b22ab0ea867599db38eb02be1de49a1dad2",
+        "inverse": "b4b0269bb8f595d2fa5525410c20841d50d08fe2aa639ff5122e380515dfc86c",
+    },
+}
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_type_h_tables_are_pinned(rank):
+    g = coxeter_group("H", rank)
+    got = {
+        name: hashlib.sha256(repr(getattr(g, name)).encode()).hexdigest()
+        for name in H_TABLE_DIGESTS[rank]
+    }
+    assert got == H_TABLE_DIGESTS[rank]
+
+
+def test_prefix_splits_off_the_last_letter():
+    g = coxeter_group("H", 3)
+    for w in range(1, g.order):
+        u, s = g.prefix(w)
+        assert g.rwords[u] + (s,) == g.rwords[w]
+        assert g.right[u][s] == w

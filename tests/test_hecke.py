@@ -6,7 +6,7 @@ import pytest
 
 from planalg.coxeter import coxeter_group
 from planalg.hecke import hecke
-from planalg.laurent import Laurent, ONE
+from planalg.laurent import Laurent, ONE, lincomb
 
 Q = Laurent.v_power(2)
 
@@ -147,3 +147,37 @@ def test_dihedral_polynomials_are_trivial():
         for w in range(g.order):
             for y, c in h.cprime_unit(w).items():
                 assert c * Laurent.v_power(g.lengths[w] - g.lengths[y]) == ONE
+
+
+MEMO_GROUPS = [("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5), ("I", 2, 12)]
+
+
+def _random_element(rng, g):
+    return {
+        w: Laurent({rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3))})
+        for w in rng.sample(range(g.order), 4)
+    }
+
+
+@pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
+def test_prefix_memo_matches_word_by_word_fold(family, rank, m):
+    h = hecke(coxeter_group(family, rank, m))
+    rng = random.Random(f"mul:{family}{rank}{m}")
+    for _ in range(6):
+        x, y, z = (_random_element(rng, h.g) for _ in range(3))
+        xy = h.mul(x, y)
+        assert xy == lincomb((c, h.mul_t(x, w)) for w, c in y.items())
+        assert h.mul(xy, z) == h.mul(x, h.mul(y, z))
+
+
+@pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
+def test_left_descent_scales_cprime(family, rank, m):
+    """C'_s C'_w = (v + v^-1) C'_w whenever sw < w."""
+    g = coxeter_group(family, rank, m)
+    h = hecke(g)
+    v_sum = Laurent("v + v^-1")
+    for w in range(g.order):
+        cw = h.cprime(w)
+        for s in g.left_descents(w):
+            got = h.mul(h.cprime(g.right[0][s]), cw)
+            assert got == {y: v_sum * c for y, c in cw.items()}

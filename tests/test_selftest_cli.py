@@ -174,6 +174,7 @@ Z2 = cyclic_group_algebra(2).to_text()
     (Z2.replace("1 1 0 1", "1 1 0 2"),
      "fails t3_normalized: kappa(b1, b0 b1) != kappa(b0, b1 b1)"),
     (Z2.replace("inv: 0 1", "inv: 1 0"), "fails t2: anti-involution moves the identity"),
+    (Z2.replace("1 1 0 1", "1 1 0 5\n1 1 0 1"), "repeated line: '1 1 0 1'"),
     (permutation_group_algebra(3).to_text(), None),
 ])
 def test_algebra_files_are_checked(tmp_path, text, message):

@@ -120,3 +120,17 @@ def test_text_round_trip():
         back = TableAlgebra.from_text(alg.to_text())
         assert back == alg
         assert back.to_text() == alg.to_text()
+
+
+Z2_TEXT = cyclic_group_algebra(2).to_text()
+
+
+@pytest.mark.parametrize("text,repeated", [
+    (Z2_TEXT.replace("1 1 0 1", "1 1 0 5\n1 1 0 1"), "1 1 0 1"),
+    (Z2_TEXT + "rank 2 identity 0\n", "rank 2 identity 0"),
+    (Z2_TEXT + "inv: 0 1\n", "inv: 0 1"),
+    (Z2_TEXT + "labels: 1 g1\n", "labels: 1 g1"),
+])
+def test_repeated_lines_are_refused(text, repeated):
+    with pytest.raises(ValueError, match=f"repeated line: '{repeated}'"):
+        TableAlgebra.from_text(text)
