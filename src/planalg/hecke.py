@@ -31,12 +31,37 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
-from .laurent import Laurent, ONE, ZERO, addmul, collect, lincomb, take
+from .laurent import Laurent, ONE, V_INV, ZERO, addmul, collect, lincomb, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
-_Q_MINUS_1 = _Q - ONE
-_QINV_MINUS_1 = _QINV - ONE
+
+
+def gen_step(a, b) -> tuple:
+    """a T_s + b as the coefficient pairs that :meth:`Hecke.mul_step` reads.
+
+    T_w T_s is T_{ws} when the length rises and q T_{ws} + (q-1) T_w
+    when it drops (and likewise on the left), so the product with
+    a T_s + b puts (a, b) on (T_{ws}, T_w) on a rise and
+    (a q, a (q-1) + b) on a drop.  The pairs are computed once here, so
+    a product does no Laurent arithmetic beyond its accumulation.  A
+    coefficient 1 on T_{ws} is stored as None (added alone) and a
+    coefficient 0 on T_w as None (skipped).
+
+    >>> gen_step(ONE, ZERO)
+    ((None, None), (Laurent('v^2'), Laurent('v^2 - 1')))
+    """
+    def pair(a, b):
+        return (None if a == ONE else a, b if b else None)
+
+    return pair(a, b), pair(a * _Q, a * (_Q - ONE) + b)
+
+
+_T_S = gen_step(ONE, ZERO)
+# bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1); on a drop w -> ws exactly.
+_BAR_T_S = gen_step(_QINV, _QINV - ONE)
+# C'_s = v^-1 (T_s + 1).
+CPRIME_S = gen_step(V_INV, V_INV)
 
 
 def ic_solve(rows: list) -> list:
@@ -141,18 +166,29 @@ class Hecke:
     def one(self) -> dict:
         return {0: ONE}
 
-    def mul_gen(self, x: dict, s: int) -> dict:
-        """Right multiplication x * T_s."""
+    def mul_step(self, x: dict, s: int, step: tuple, left: bool = False) -> dict:
+        """x * (a T_s + b), or (a T_s + b) * x when left, in one pass.
+
+        step is ``gen_step(a, b)``.  Each T_w of x goes to T_{ws}
+        (T_{sw} on the left) and T_w with the pair of coefficients for a
+        length rise or drop, read from g.right or g.left.
+        """
         g = self.g
+        table = g.left if left else g.right
+        lengths = g.lengths
+        rise, drop = step
         rows: dict = {}
         for w, c in x.items():
-            ws = g.right[w][s]
-            if g.lengths[ws] > g.lengths[w]:
-                addmul(rows, ws, c)
-            else:
-                addmul(rows, ws, c, _Q)
-                addmul(rows, w, c, _Q_MINUS_1)
+            ws = table[w][s]
+            a, b = rise if lengths[ws] > lengths[w] else drop
+            addmul(rows, ws, c, a)
+            if b is not None:
+                addmul(rows, w, c, b)
         return collect(rows)
+
+    def mul_gen(self, x: dict, s: int) -> dict:
+        """Right multiplication x * T_s."""
+        return self.mul_step(x, s, _T_S)
 
     def mul_t(self, x: dict, w: int) -> dict:
         """Right multiplication x * T_w along a reduced word of w."""
@@ -194,8 +230,7 @@ class Hecke:
         table = [self.one()]
         for w in range(1, g.order):
             u, s = g.prefix(w)
-            bar_ts = {0: _QINV_MINUS_1, g.right[0][s]: _QINV}
-            table.append(self.mul(table[u], bar_ts))
+            table.append(self.mul_step(table[u], s, _BAR_T_S))
         return table
 
     def bar_t(self, w: int) -> dict:

@@ -37,9 +37,10 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
 from .hecke import (
-    Hecke, bar_apply, canonical_coords, canonical_solve, from_unit, hecke,
+    CPRIME_S, Hecke, bar_apply, canonical_coords, canonical_solve, from_unit,
+    hecke,
 )
-from .laurent import Laurent, ONE, V_INV, lincomb
+from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
 
 
 class TL:
@@ -81,7 +82,15 @@ class TL:
         return table
 
     def _verify_quotient(self) -> None:
-        """Check the kernel span really contains J and is an ideal."""
+        """Check the kernel span really contains J and is an ideal.
+
+        Each bond (s, t) must give v^m C'_{w_st} = sum of T_y over <s, t>
+        with w_st complex, so every generator of J lies in the span.
+        Then C'_s C'_w and C'_w C'_s are computed for every complex w
+        and generator s.  When s is a descent of w on that side the
+        product must equal (v + v^-1) C'_w exactly (Kazhdan-Lusztig);
+        otherwise its C'-coordinates must lie on complex elements only.
+        """
         g, h = self.g, self.h
         complex_set = set(self.complex)
         for s, t in g.bond_pairs():
@@ -90,6 +99,10 @@ class TL:
             if len(members) != 2 * m:
                 raise AssertionError("dihedral parabolic has wrong size")
             top = g.dihedral_longest(s, t)
+            if top not in complex_set:
+                raise AssertionError(
+                    f"longest element of bond ({s},{t}) is not complex"
+                )
             want = {y: Laurent.v_power(m) * c for y, c in h.cprime(top).items()}
             if want != {y: ONE for y in members}:
                 raise AssertionError(
@@ -97,13 +110,20 @@ class TL:
                 )
         for w in self.complex:
             cw = h.cprime(w)
-            for s in range(g.rank):
-                cs = h.cprime(g.right[0][s])
-                for prod in (h.mul(cs, cw), h.mul(cw, cs)):
-                    coords = h.to_cprime(prod)
-                    if any(y not in complex_set for y in coords):
+            scaled = lincomb(((DELTA, cw),))
+            for left, descents in ((True, g.left_descents(w)),
+                                   (False, g.right_descents(w))):
+                for s in range(g.rank):
+                    prod = h.mul_step(cw, s, CPRIME_S, left)
+                    if s in descents:
+                        ok = prod == scaled
+                    else:
+                        ok = all(y in complex_set for y in h.to_cprime(prod))
+                    if not ok:
                         raise AssertionError(
                             f"kernel span not an ideal at C'_{s} * C'_{w}"
+                            if left else
+                            f"kernel span not an ideal at C'_{w} * C'_{s}"
                         )
 
     # -- linear structure ----------------------------------------------------

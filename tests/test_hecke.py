@@ -5,10 +5,11 @@ import random
 import pytest
 
 from planalg.coxeter import coxeter_group
-from planalg.hecke import hecke
+from planalg.hecke import CPRIME_S, gen_step, hecke
 from planalg.laurent import Laurent, ONE, lincomb
 
 Q = Laurent.v_power(2)
+Q_INV = Laurent.v_power(-2)
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +182,32 @@ def test_left_descent_scales_cprime(family, rank, m):
         for s in g.left_descents(w):
             got = h.mul(h.cprime(g.right[0][s]), cw)
             assert got == {y: v_sum * c for y, c in cw.items()}
+
+
+@pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
+def test_one_pass_step_matches_full_product(family, rank, m):
+    """C'_s on either side and bar(T_s) on the right, against Hecke.mul."""
+    g = coxeter_group(family, rank, m)
+    h = hecke(g)
+    bar_step = gen_step(Q_INV, Q_INV - 1)
+    for s in range(g.rank):
+        ts = g.right[0][s]
+        cs = h.cprime(ts)
+        bar_ts = {0: Q_INV - 1, ts: Q_INV}
+        for w in range(g.order):
+            x = h.cprime(w)
+            assert h.mul_step(x, s, CPRIME_S, left=True) == h.mul(cs, x)
+            assert h.mul_step(x, s, CPRIME_S) == h.mul(x, cs)
+            assert h.mul_step(x, s, bar_step) == h.mul(x, bar_ts)
+
+
+@pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
+def test_bar_table_matches_reference_fold(family, rank, m):
+    """bar(T_w) = bar(T_u) (q^-1 T_s + q^-1 - 1) for w = us, through Hecke.mul."""
+    g = coxeter_group(family, rank, m)
+    h = hecke(g)
+    ref = [h.one()]
+    for w in range(1, g.order):
+        u, s = g.prefix(w)
+        ref.append(h.mul(ref[u], {0: Q_INV - 1, g.right[0][s]: Q_INV}))
+    assert [h.bar_t(w) for w in range(g.order)] == ref

@@ -1,13 +1,18 @@
 """Quotient algebras: ideal descent, generator relations, canonical basis."""
 
+import importlib
 import random
 
 import pytest
 
-from planalg.coxeter import coxeter_group
+from planalg.coxeter import coxeter_group, wc_classify
 from planalg.hecke import hecke
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.tl import tl
+
+# The module itself: the package re-exports the function ``tl`` under
+# the same name.
+TL_MODULE = importlib.import_module("planalg.tl")
 
 ALL_TYPES = [("A", 1, 0), ("A", 2, 0), ("A", 3, 0), ("A", 4, 0),
              ("B", 2, 0), ("B", 3, 0), ("H", 3, 0)] + [
@@ -183,3 +188,24 @@ def test_element_str_is_deterministic():
     q = tl(coxeter_group("A", 2))
     assert q.element_str(q.b(0)) == "(v^-1) t[e] + (v^-1) t[1]"
     assert q.element_str({}) == "0"
+
+
+@pytest.mark.parametrize("end", ["shortest", "longest"])
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5),
+])
+def test_complex_element_moved_into_wc_is_refused(monkeypatch, family, rank, m, end):
+    """A wrong split of W into W_c and complex elements fails the build.
+
+    Elements are numbered by length, so the first complex element is a
+    shortest one and the last the longest.  In I2(5) both are w0, the
+    only complex element, and only the check that w_st is complex sees it.
+    """
+    g = coxeter_group(family, rank, m)
+    wc, complex_part = wc_classify(g)
+    moved = complex_part[0 if end == "shortest" else -1]
+    split = (tuple(sorted(wc + (moved,))),
+             tuple(w for w in complex_part if w != moved))
+    monkeypatch.setattr(TL_MODULE, "wc_classify", lambda _: split)
+    with pytest.raises(AssertionError):
+        TL_MODULE.TL(g)
