@@ -7,10 +7,15 @@ concretely on the fully commutative basis: the kernel is the span of
 the Kazhdan-Lusztig elements C'_w with w complex.  Construction-time
 checks make this rigorous rather than assumed:
 
-* each defining generator equals v^m C'_{w_st} exactly, so it lies in
-  the span (and the span therefore contains J);
+* each dihedral longest element w_st is complex and each defining
+  generator equals v^m C'_{w_st} exactly, so it lies in the span (and
+  the span therefore contains J);
 * the span is closed under left and right multiplication by every
-  C'_s, checked exhaustively, so it is a two-sided ideal;
+  C'_s, so it is a two-sided ideal.  Every product C'_s C'_w and
+  C'_w C'_s with w complex is computed in one pass
+  (:meth:`Hecke.mul_step`).  When s is a descent of w on that side it
+  must equal (v + v^-1) C'_w exactly, as Kazhdan-Lusztig predict;
+  otherwise its C'-coordinates must lie on complex elements only;
 * both quotients are free of rank |W_c|, and a surjection between free
   modules of equal finite rank over a commutative ring is an
   isomorphism, so the projection modulo the span is the projection
