@@ -184,7 +184,11 @@ def cmd_embed(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _group(args)  # validates type/rank/m
-    return _emit(conjecture_436_check(args.type, args.rank, m=args.m), args.machine)
+    try:
+        rep = conjecture_436_check(args.type, args.rank, m=args.m)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return _emit(rep, args.machine)
 
 
 def cmd_drank(args) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
-from .laurent import Laurent, ONE, V_INV, ZERO, addmul, collect, lincomb, take
+from .laurent import Laurent, ONE, ZERO, addmul, collect, lincomb, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
@@ -41,9 +41,8 @@ def gen_step(a, b) -> tuple:
     """a T_s + b as the coefficient pairs that :meth:`Hecke.mul_step` reads.
 
     T_w T_s is T_{ws} when the length rises and q T_{ws} + (q-1) T_w
-    when it drops (and likewise on the left), so the product with
-    a T_s + b puts (a, b) on (T_{ws}, T_w) on a rise and
-    (a q, a (q-1) + b) on a drop.  The pairs are computed once here, so
+    when it drops, so the product with a T_s + b puts (a, b) on
+    (T_{ws}, T_w) on a rise and (a q, a (q-1) + b) on a drop.  The pairs are computed once here, so
     a product does no Laurent arithmetic beyond its accumulation.  A
     coefficient 1 on T_{ws} is stored as None (added alone) and a
     coefficient 0 on T_w as None (skipped).
@@ -60,8 +59,6 @@ def gen_step(a, b) -> tuple:
 _T_S = gen_step(ONE, ZERO)
 # bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1); on a drop w -> ws exactly.
 _BAR_T_S = gen_step(_QINV, _QINV - ONE)
-# C'_s = v^-1 (T_s + 1).
-CPRIME_S = gen_step(V_INV, V_INV)
 
 
 def ic_solve(rows: list) -> list:
@@ -166,20 +163,17 @@ class Hecke:
     def one(self) -> dict:
         return {0: ONE}
 
-    def mul_step(self, x: dict, s: int, step: tuple, left: bool = False) -> dict:
-        """x * (a T_s + b), or (a T_s + b) * x when left, in one pass.
+    def mul_step(self, x: dict, s: int, step: tuple) -> dict:
+        """x * (a T_s + b) in one pass.
 
-        step is ``gen_step(a, b)``.  Each T_w of x goes to T_{ws}
-        (T_{sw} on the left) and T_w with the pair of coefficients for a
-        length rise or drop, read from g.right or g.left.
+        step is ``gen_step(a, b)``.  Each T_w of x goes to T_{ws} and T_w
+        with the pair of coefficients for a length rise or drop.
         """
-        g = self.g
-        table = g.left if left else g.right
-        lengths = g.lengths
+        right, lengths = self.g.right, self.g.lengths
         rise, drop = step
         rows: dict = {}
         for w, c in x.items():
-            ws = table[w][s]
+            ws = right[w][s]
             a, b = rise if lengths[ws] > lengths[w] else drop
             addmul(rows, ws, c, a)
             if b is not None:
@@ -197,23 +191,8 @@ class Hecke:
         return x
 
     def mul(self, x: dict, y: dict) -> dict:
-        """The product x * y, folding each reduced-word prefix once.
-
-        x * T_w = (x * T_u) * T_s for (u, s) = g.prefix(w), so x * T_u is
-        memoized over the prefixes of the support of y: each element of
-        their closure costs one :meth:`mul_gen`, not l(w) of them.
-        """
-        g = self.g
-        memo = {0: x}
-        for w in y:
-            chain = []
-            while w not in memo:
-                u, s = g.prefix(w)
-                chain.append((w, u, s))
-                w = u
-            for w, u, s in reversed(chain):
-                memo[w] = self.mul_gen(memo[u], s)
-        return lincomb((c, memo[w]) for w, c in y.items())
+        """The product x * y, one :meth:`mul_t` per term of y."""
+        return lincomb((c, self.mul_t(x, w)) for w, c in y.items())
 
     # -- bar involution ---------------------------------------------------
 

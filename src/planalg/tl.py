@@ -2,29 +2,32 @@
 
 TL(X) is the quotient of the Hecke algebra H(X) by the two-sided ideal
 J(X) generated, for each joined generator pair (s, t), by the sum of
-T_w over the dihedral parabolic <s, t>.  The quotient is realized
-concretely on the fully commutative basis: the kernel is the span of
-the Kazhdan-Lusztig elements C'_w with w complex.  Construction-time
-checks make this rigorous rather than assumed:
+T_w over the dihedral parabolic <s, t>.  H/J is free on the images
+t_w of T_w for w fully commutative (Graham), and the projection theta
+is built from J's generators and the T-basis alone, by increasing
+length (:meth:`TL._build_theta`):
 
-* each dihedral longest element w_st is complex and each defining
-  generator equals v^m C'_{w_st} exactly, so it lies in the span (and
-  the span therefore contains J);
-* the span is closed under left and right multiplication by every
-  C'_s, so it is a two-sided ideal.  Every product C'_s C'_w and
-  C'_w C'_s with w complex is computed in one pass
-  (:meth:`Hecke.mul_step`).  When s is a descent of w on that side it
-  must equal (v + v^-1) C'_w exactly, as Kazhdan-Lusztig predict;
-  otherwise its C'-coordinates must lie on complex elements only;
-* both quotients are free of rank |W_c|, and a surjection between free
-  modules of equal finite rank over a commutative ring is an
-  isomorphism, so the projection modulo the span is the projection
-  modulo J.
+* theta(T_y) = t_y for y fully commutative;
+* a complex y either ends in a braid, y = x w_st with every xz reduced
+  for z in <s, t>, and then T_x times the generator of J gives
+  theta(T_y) = -(sum of theta(T_{xz}) over z other than w_st); or it
+  has a right descent s with ys complex (Stembridge), and then
+  theta(T_y) = theta(T_{ys}) T_s.
+
+Three checks on the finished table make this rigorous rather than
+assumed: every generator of J maps to 0; theta(T_{y^-1}) is star of
+theta(T_y); and theta(T_y) T_s = theta(T_y T_s) for every complex y
+and generator s.  The last makes the kernel a right ideal and star
+makes it two-sided, so it contains J; theta is onto a free module of
+the rank of H/J, and a surjection between free modules of equal finite
+rank over a commutative ring is an isomorphism, so the kernel is J.
+A wrong split of W into fully commutative and complex elements fails
+the build.
 
 Elements of the quotient are sparse dicts over positions in the W_c
 tuple with Laurent coefficients in the t-basis t_w = theta(T_w).  The
-bar involution descends through theta (the kernel is spanned by
-bar-invariant elements), and the canonical basis c_w is the
+bar involution descends through theta (each generator of J is v^m
+times the bar-invariant C'_{w_st}), and the canonical basis c_w is the
 bar-invariant triangular basis produced by the same solver as the
 Kazhdan-Lusztig basis, with theta(C'_w) = c_w as a cross-check.
 
@@ -42,10 +45,9 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
 from .hecke import (
-    CPRIME_S, Hecke, bar_apply, canonical_coords, canonical_solve, from_unit,
-    hecke,
+    Hecke, bar_apply, canonical_coords, canonical_solve, from_unit, hecke,
 )
-from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
+from .laurent import Laurent, ONE, V_INV, lincomb
 
 
 class TL:
@@ -54,7 +56,7 @@ class TL:
     def __init__(self, g: CoxeterGroup):
         self.g = g
         self.h: Hecke = hecke(g)
-        self.wc, self.complex = wc_classify(g)
+        self.wc = wc_classify(g)[0]
         self.rank = len(self.wc)
         self.pos = {w: k for k, w in enumerate(self.wc)}
         self.lengths = [g.lengths[w] for w in self.wc]
@@ -67,69 +69,68 @@ class TL:
     # -- construction ------------------------------------------------------
 
     def _build_theta(self) -> list:
-        """theta(T_y) for every y, by increasing length.
+        """theta(T_y) for every y, by increasing length, from J's generators.
 
-        For fully commutative y this is t_y.  Otherwise C'_y lies in
-        the kernel, so T_y = v^{l(y)} C'_y - sum of shorter T_z terms
-        maps to the image of the shorter terms alone.
+        Each complex y is written as a combination of shorter T_z equal
+        to T_y modulo J: minus the rest of x times the generator of J
+        when y = x w_st, else theta(T_{ys}) T_s for a complex ys.  A
+        complex y with neither is misplaced by the split of W.
         """
-        g = self.g
+        g, h = self.g, self.h
+        braids = []
+        for s, t in g.bond_pairs():
+            top = g.dihedral_longest(s, t)
+            others = [z for z in g.dihedral_members(s, t) if z != top]
+            for a, b in ((s, t), (t, s)):
+                braids.append(([(a, b)[k % 2] for k in range(g.bonds[s][t])], others))
         table: list = []
         for y in range(g.order):
             if y in self.pos:
                 table.append({self.pos[y]: ONE})
                 continue
-            table.append(lincomb(
-                (-p.shift(g.lengths[y] - g.lengths[z]), table[z])
-                for z, p in self.h.cprime_unit(y).items()
-                if z != y
-            ))
+            for word, others in braids:
+                x = y
+                for r in word:
+                    if g.lengths[g.right[x][r]] > g.lengths[x]:
+                        break
+                    x = g.right[x][r]
+                else:
+                    equal = {g.mult(x, z): -1 for z in others}
+                    break
+            else:
+                s = next((s for s in g.right_descents(y)
+                          if g.right[y][s] not in self.pos), None)
+                if s is None:
+                    raise AssertionError(
+                        f"complex element {g.word(y)} ends in no braid and "
+                        "has no complex prefix"
+                    )
+                equal = h.mul_gen(self._lift(table[g.right[y][s]]), s)
+            table.append(lincomb((c, table[z]) for z, c in equal.items()))
         return table
 
-    def _verify_quotient(self) -> None:
-        """Check the kernel span really contains J and is an ideal.
+    def _lift(self, x: dict) -> dict:
+        """The Hecke element sum of c T_w for a quotient element sum of c t_w."""
+        return {self.wc[k]: c for k, c in x.items()}
 
-        Each bond (s, t) must give v^m C'_{w_st} = sum of T_y over <s, t>
-        with w_st complex, so every generator of J lies in the span.
-        Then C'_s C'_w and C'_w C'_s are computed for every complex w
-        and generator s.  When s is a descent of w on that side the
-        product must equal (v + v^-1) C'_w exactly (Kazhdan-Lusztig);
-        otherwise its C'-coordinates must lie on complex elements only.
-        """
-        g, h = self.g, self.h
-        complex_set = set(self.complex)
+    def _verify_quotient(self) -> None:
+        """The three checks that make theta the projection modulo J."""
+        g, h, table = self.g, self.h, self._theta_t
         for s, t in g.bond_pairs():
-            m = g.bonds[s][t]
-            members = g.dihedral_members(s, t)
-            if len(members) != 2 * m:
-                raise AssertionError("dihedral parabolic has wrong size")
-            top = g.dihedral_longest(s, t)
-            if top not in complex_set:
-                raise AssertionError(
-                    f"longest element of bond ({s},{t}) is not complex"
-                )
-            want = {y: Laurent.v_power(m) * c for y, c in h.cprime(top).items()}
-            if want != {y: ONE for y in members}:
-                raise AssertionError(
-                    f"quotient generator for bond ({s},{t}) is not v^m C'_top"
-                )
-        for w in self.complex:
-            cw = h.cprime(w)
-            scaled = lincomb(((DELTA, cw),))
-            for left, descents in ((True, g.left_descents(w)),
-                                   (False, g.right_descents(w))):
-                for s in range(g.rank):
-                    prod = h.mul_step(cw, s, CPRIME_S, left)
-                    if s in descents:
-                        ok = prod == scaled
-                    else:
-                        ok = all(y in complex_set for y in h.to_cprime(prod))
-                    if not ok:
-                        raise AssertionError(
-                            f"kernel span not an ideal at C'_{s} * C'_{w}"
-                            if left else
-                            f"kernel span not an ideal at C'_{w} * C'_{s}"
-                        )
+            if self.theta({z: ONE for z in g.dihedral_members(s, t)}):
+                raise AssertionError(f"generator of J for bond ({s},{t}) survives")
+        for y in range(g.order):
+            if table[g.inverse[y]] != self.star(table[y]):
+                raise AssertionError(f"theta does not commute with star at {g.word(y)}")
+            if y in self.pos:
+                continue  # theta(T_y) T_s = theta(T_y T_s) by definition
+            lift = self._lift(table[y])
+            for s in range(g.rank):
+                if self.theta(h.mul_gen(lift, s)) != self.theta(h.mul_gen(h.t(y), s)):
+                    raise AssertionError(
+                        f"theta(T_y) T_s differs from theta(T_y T_s) at "
+                        f"y = {g.word(y)}, s = {s + 1}"
+                    )
 
     # -- linear structure ----------------------------------------------------
 

@@ -144,10 +144,13 @@ def test_conjecture_exit_zero():
     (("tlbasis", "--type", "A", "--rank", "5"), ""),
     (("embed", "--type", "B", "--rank", "4"), ""),
     (("conjecture", "--type", "I", "--rank", "2", "--m", "13"), ""),
+    (("conjecture", "--type", "A", "--rank", "1"), ""),
 ])
 def test_usage_errors_exit_two(args, stdin):
     proc = run_cli(*args, stdin=stdin)
     assert proc.returncode == 2
+    # argparse prints its usage first; a traceback would end otherwise.
+    assert proc.stderr.splitlines()[-1].startswith("planalg:")
 
 
 @pytest.mark.parametrize("command", ["mul", "trace"])

@@ -36,6 +36,17 @@ def test_cross_oracle(family, rank, m):
     assert tl(coxeter_group(family, rank, m)).cross_check_canonical()
 
 
+@pytest.mark.parametrize("family,rank,m", ALL_TYPES)
+def test_complex_cprime_lies_in_the_kernel(family, rank, m):
+    # The Kazhdan-Lusztig solve over all of W against theta, which is
+    # built from the generators of J alone.
+    g = coxeter_group(family, rank, m)
+    h, q = hecke(g), tl(g)
+    for y in range(g.order):
+        if y not in q.pos:
+            assert q.theta(h.cprime(y)) == {}, g.rwords[y]
+
+
 def test_generator_square():
     for family, rank, m in ALL_TYPES:
         q = tl(coxeter_group(family, rank, m))
@@ -174,8 +185,11 @@ def test_canonical_coordinates_descend_through_theta(family, rank, m):
         assert q.to_canonical(q.theta(x)) == want
 
 
-def test_theta_is_an_algebra_map():
-    g = coxeter_group("B", 2)
+@pytest.mark.parametrize("family,rank,m", [
+    ("B", 2, 0), ("A", 3, 0), ("I", 2, 5), ("I", 2, 8),
+])
+def test_theta_is_an_algebra_map(family, rank, m):
+    g = coxeter_group(family, rank, m)
     h, q = hecke(g), tl(g)
     for u in range(g.order):
         for w in range(g.order):
@@ -190,22 +204,28 @@ def test_element_str_is_deterministic():
     assert q.element_str({}) == "0"
 
 
-@pytest.mark.parametrize("end", ["shortest", "longest"])
+@pytest.mark.parametrize("end", ["shortest", "longest", "second", "last"])
 @pytest.mark.parametrize("family,rank,m", [
     ("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5),
 ])
 def test_complex_element_moved_into_wc_is_refused(monkeypatch, family, rank, m, end):
     """A wrong split of W into W_c and complex elements fails the build.
 
-    Elements are numbered by length, so the first complex element is a
-    shortest one and the last the longest.  In I2(5) both are w0, the
-    only complex element, and only the check that w_st is complex sees it.
+    Elements are numbered by length.  "shortest" and "longest" move the
+    first or the last complex element into W_c; in I2(5) both are w0,
+    the only complex element.  "second" and "last" move a fully
+    commutative element out of W_c: a generator, or the last one.
     """
     g = coxeter_group(family, rank, m)
     wc, complex_part = wc_classify(g)
-    moved = complex_part[0 if end == "shortest" else -1]
-    split = (tuple(sorted(wc + (moved,))),
-             tuple(w for w in complex_part if w != moved))
+    if end in ("shortest", "longest"):
+        moved = complex_part[0 if end == "shortest" else -1]
+        split = (tuple(sorted(wc + (moved,))),
+                 tuple(w for w in complex_part if w != moved))
+    else:
+        moved = wc[1 if end == "second" else -1]
+        split = (tuple(w for w in wc if w != moved),
+                 tuple(sorted(complex_part + (moved,))))
     monkeypatch.setattr(TL_MODULE, "wc_classify", lambda _: split)
     with pytest.raises(AssertionError):
         TL_MODULE.TL(g)
