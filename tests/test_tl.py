@@ -229,3 +229,18 @@ def test_complex_element_moved_into_wc_is_refused(monkeypatch, family, rank, m, 
     monkeypatch.setattr(TL_MODULE, "wc_classify", lambda _: split)
     with pytest.raises(AssertionError):
         TL_MODULE.TL(g)
+
+
+def test_theta_must_commute_with_star(monkeypatch):
+    """An inverse table that swaps two generators fails the star check.
+
+    The quotient map itself is unchanged, so only the comparison of
+    theta(T_{y^-1}) with star theta(T_y) on a complex y can see it.
+    """
+    g = coxeter_group("A", 3)
+    s1, s2 = g.right[0][0], g.right[0][1]
+    inverse = list(g.inverse)
+    inverse[s1], inverse[s2] = s2, s1
+    monkeypatch.setattr(g, "inverse", tuple(inverse))
+    with pytest.raises(AssertionError, match="star"):
+        TL_MODULE.TL(g)
