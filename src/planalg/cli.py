@@ -48,8 +48,8 @@ def _context(args) -> Context:
 
 def _group(args):
     """The Coxeter group named by --type/--rank/--m; ranks and m are
-    checked by :func:`coxeter_group`.  H4 is refused up front: the
-    library builds its group, but its Hecke bar table does not finish."""
+    checked by :func:`coxeter_group`.  H4 is refused up front: its TL
+    quotient builds, but tlbasis and conjecture run oracles over all of W."""
     family = args.type
     if family not in ("A", "B", "H", "I"):
         raise UsageError(f"--type {family}: expected one of A, B, H, I")

@@ -366,7 +366,7 @@ def addmul(rows: dict, key, a, b=None) -> None:
     """Add ``a * b`` into the private row ``rows[key]``, in place.
 
     ``a`` is a Laurent (or an integer); ``b`` is a Laurent, an integer,
-    or None for ``a`` alone.  Neither operand is modified.
+    or None (like the integer 1) for ``a`` alone.  Neither operand is modified.
     """
     row = rows.get(key)
     if row is None:
@@ -374,7 +374,7 @@ def addmul(rows: dict, key, a, b=None) -> None:
     if type(a) is not Laurent:
         a = Laurent(a)
     get = row.get
-    if b is None:
+    if b is None or (type(b) is int and b == 1):
         for e, x in a._c.items():
             row[e] = get(e, 0) + x
     elif type(b) is Laurent:

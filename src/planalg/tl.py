@@ -2,34 +2,38 @@
 
 TL(X) is the quotient of the Hecke algebra H(X) by the two-sided ideal
 J(X) generated, for each joined generator pair (s, t), by the sum of
-T_w over the dihedral parabolic <s, t>.  H/J is free on the images
-t_w of T_w for w fully commutative (Graham), and the projection theta
-is built from J's generators and the T-basis alone, by increasing
-length (:meth:`TL._build_theta`):
+T_z over the dihedral parabolic <s, t>.  H/J is free on the images t_w
+of T_w for w fully commutative (Graham), so the quotient is built on
+W_c alone, as one table act[k][s] = t_y T_s (y = wc[k]) filled by
+increasing length (:meth:`TL._build_act`):
 
-* theta(T_y) = t_y for y fully commutative;
-* a complex y either ends in a braid, y = x w_st with every xz reduced
-  for z in <s, t>, and then T_x times the generator of J gives
-  theta(T_y) = -(sum of theta(T_{xz}) over z other than w_st); or it
-  has a right descent s with ys complex (Stembridge), and then
-  theta(T_y) = theta(T_{ys}) T_s.
+* t_ys when ys rises into W_c, q t_ys + (q-1) t_y when it drops;
+* on a rise into a complex ys that ends in a braid, ys = x w_st with
+  every xz reduced for z in <s, t>, T_x times the generator of J gives
+  -(sum of t_x T_z over z in <s, t> other than w_st);
+* otherwise (Stembridge) ys has a right descent r with ysr complex, r
+  commutes with s, and the value is (t_yr T_s) T_r.
 
-Three checks on the finished table make this rigorous rather than
-assumed: every generator of J maps to 0; theta(T_{y^-1}) is star of
-theta(T_y); and theta(T_y) T_s = theta(T_y T_s) for every complex y
-and generator s.  The last makes the kernel a right ideal and star
-makes it two-sided, so it contains J; theta is onto a free module of
-the rank of H/J, and a surjection between free modules of equal finite
-rank over a commutative ring is an isomorphism, so the kernel is J.
+Every value reads rows of strictly shorter elements.  The proof that
+act is the right action of H on H/J (:meth:`TL._certify`): W_c is
+closed under inverses and prefixes, so with R_s = act[.][s], star(t_y)
+= t_{y^-1} and L_s = star R_s star, every t_y is t_1 R_y and L_y t_1.
+(1) Every L_s commutes with every R_r on every t_y, so a polynomial in
+the R_s that kills t_1 kills all t_y.  (2) The quadratic relations and
+the generator of J, with T_{w_st} along both of its reduced words (so
+the braid relation too), kill t_1.  So T_w -> t_1 T_w makes the free
+module on W_c a quotient of H/J, free of the same rank, hence H/J
+itself; star is the descent of T_w -> T_{w^-1}, which preserves J.
 A wrong split of W into fully commutative and complex elements fails
 the build.
 
-Elements of the quotient are sparse dicts over positions in the W_c
-tuple with Laurent coefficients in the t-basis t_w = theta(T_w).  The
-bar involution descends through theta (each generator of J is v^m
-times the bar-invariant C'_{w_st}), and the canonical basis c_w is the
-bar-invariant triangular basis produced by the same solver as the
-Kazhdan-Lusztig basis, with theta(C'_w) = c_w as a cross-check.
+Elements are sparse dicts over positions in W_c, in the t-basis.  Bar
+descends from H (each generator of J is v^m times the bar-invariant
+C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
+(q^-1 T_s + q^-1 - 1); the canonical basis c_w comes from the solver
+of the Kazhdan-Lusztig basis.  The projection theta(T_us) = theta(T_u)
+T_s over all of W is built on first use, by :meth:`TL.t_mul` and the
+cross-check theta(C'_w) = c_w.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -45,7 +49,8 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group, wc_classify
 from .hecke import (
-    Hecke, bar_apply, canonical_coords, canonical_solve, from_unit, hecke,
+    _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_solve, from_unit,
+    hecke,
 )
 from .laurent import Laurent, ONE, V_INV, lincomb
 
@@ -60,77 +65,76 @@ class TL:
         self.rank = len(self.wc)
         self.pos = {w: k for k, w in enumerate(self.wc)}
         self.lengths = [g.lengths[w] for w in self.wc]
-        if any(g.inverse[w] not in self.pos for w in self.wc):
-            raise AssertionError("fully commutative set not closed under inverse")
-        self._theta_t = self._build_theta()
-        self._verify_quotient()
+        if any(g.inverse[w] not in self.pos or g.prefix(w)[0] not in self.pos
+               for w in self.wc[1:]):
+            raise AssertionError(
+                "fully commutative set not closed under inverses and prefixes")
+        self._build_act()
+        self._certify()
         self._t_mul: dict = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_theta(self) -> list:
-        """theta(T_y) for every y, by increasing length, from J's generators.
+    def _braids(self) -> list:
+        """(word, others) per ordered bond pair (a, b): the alternating
+        word a, b, a, ... of w_ab and the other members of <a, b>."""
+        g = self.g
+        return [([(a, b)[k % 2] for k in range(g.bonds[a][b])],
+                 [z for z in g.dihedral_members(a, b) if z != g.dihedral_longest(a, b)])
+                for s, t in g.bond_pairs() for a, b in ((s, t), (t, s))]
 
-        Each complex y is written as a combination of shorter T_z equal
-        to T_y modulo J: minus the rest of x times the generator of J
-        when y = x w_st, else theta(T_{ys}) T_s for a complex ys.  A
-        complex y with neither is misplaced by the split of W.
-        """
-        g, h = self.g, self.h
-        braids = []
-        for s, t in g.bond_pairs():
-            top = g.dihedral_longest(s, t)
-            others = [z for z in g.dihedral_members(s, t) if z != top]
-            for a, b in ((s, t), (t, s)):
-                braids.append(([(a, b)[k % 2] for k in range(g.bonds[s][t])], others))
-        table: list = []
-        for y in range(g.order):
-            if y in self.pos:
-                table.append({self.pos[y]: ONE})
-                continue
-            for word, others in braids:
-                x = y
-                for r in word:
-                    if g.lengths[g.right[x][r]] > g.lengths[x]:
-                        break
-                    x = g.right[x][r]
-                else:
-                    equal = {g.mult(x, z): -1 for z in others}
+    def _build_act(self) -> None:
+        """act[k][s] = t_y T_s for y = wc[k], by increasing length."""
+        g, pos, braids = self.g, self.pos, self._braids()
+        self._act = []
+        for k, y in enumerate(self.wc):
+            self._act.append([
+                self._complex_rise(y, s, braids) if ys not in pos
+                else {pos[ys]: ONE} if g.lengths[ys] > g.lengths[y]
+                else {pos[ys]: _Q, k: _Q - ONE}
+                for s, ys in enumerate(g.right[y])])
+
+    def _complex_rise(self, y: int, s: int, braids: list) -> dict:
+        """t_y T_s = theta(T_ys) for a complex ys, from shorter rows."""
+        g, pos = self.g, self.pos
+        ys = g.right[y][s]
+        for word, others in braids:
+            x = ys
+            for r in word:
+                if g.lengths[g.right[x][r]] > g.lengths[x]:
                     break
+                x = g.right[x][r]
             else:
-                s = next((s for s in g.right_descents(y)
-                          if g.right[y][s] not in self.pos), None)
-                if s is None:
-                    raise AssertionError(
-                        f"complex element {g.word(y)} ends in no braid and "
-                        "has no complex prefix"
-                    )
-                equal = h.mul_gen(self._lift(table[g.right[y][s]]), s)
-            table.append(lincomb((c, table[z]) for z, c in equal.items()))
-        return table
+                if x in pos:
+                    return lincomb((-1, self.mul_word({pos[x]: ONE}, g.rwords[z]))
+                                   for z in others)
+        for r in g.right_descents(ys):
+            y_r = g.right[y][r]
+            if r != s and g.right[ys][r] not in pos and y_r in pos:
+                return self.mul_gen(self._act[pos[y_r]][s], r)
+        raise AssertionError(
+            f"complex element {g.word(ys)} ends in no braid and has no complex prefix")
 
-    def _lift(self, x: dict) -> dict:
-        """The Hecke element sum of c T_w for a quotient element sum of c t_w."""
-        return {self.wc[k]: c for k, c in x.items()}
-
-    def _verify_quotient(self) -> None:
-        """The three checks that make theta the projection modulo J."""
-        g, h, table = self.g, self.h, self._theta_t
-        for s, t in g.bond_pairs():
-            if self.theta({z: ONE for z in g.dihedral_members(s, t)}):
-                raise AssertionError(f"generator of J for bond ({s},{t}) survives")
-        for y in range(g.order):
-            if table[g.inverse[y]] != self.star(table[y]):
-                raise AssertionError(f"theta does not commute with star at {g.word(y)}")
-            if y in self.pos:
-                continue  # theta(T_y) T_s = theta(T_y T_s) by definition
-            lift = self._lift(table[y])
+    def _certify(self) -> None:
+        """Checks (1) and (2) of the module docstring."""
+        g, act, one = self.g, self._act, self.one()
+        for k, y in enumerate(self.wc):
             for s in range(g.rank):
-                if self.theta(h.mul_gen(lift, s)) != self.theta(h.mul_gen(h.t(y), s)):
-                    raise AssertionError(
-                        f"theta(T_y) T_s differs from theta(T_y T_s) at "
-                        f"y = {g.word(y)}, s = {s + 1}"
-                    )
+                left = self.star(act[self.pos[g.inverse[y]]][s])  # T_s t_y
+                for r in range(g.rank):
+                    tr = self.star(act[k][r])  # star(t_y T_r)
+                    if self.star(self.mul_gen(tr, s)) != self.mul_gen(left, r):
+                        raise AssertionError(
+                            f"left action through star does not commute with "
+                            f"T_{r + 1} at y = {g.word(y)}, s = {s + 1}")
+        for s in range(g.rank):
+            if self.mul_gen(act[0][s], s) != lincomb(((_Q - ONE, act[0][s]), (_Q, one))):
+                raise AssertionError(f"quadratic relation fails at T_{s + 1}")
+        for word, others in self._braids():
+            words = [word] + [g.rwords[z] for z in others]
+            if lincomb((1, self.mul_word(one, z)) for z in words):
+                raise AssertionError(
+                    f"generator of J along {''.join(str(r + 1) for r in word)} survives")
 
     # -- linear structure ----------------------------------------------------
 
@@ -145,6 +149,16 @@ class TL:
         """The generator b_s = v^-1 t_1 + v^-1 t_s."""
         return {0: V_INV, self.pos[self.g.right[0][s]]: V_INV}
 
+    @cached_property
+    def _theta_t(self) -> list:
+        """theta(T_w) = theta(T_u) T_s for every w = us in W, along g.prefix."""
+        g = self.g
+        table = [self.one()]
+        for w in range(1, g.order):
+            u, s = g.prefix(w)
+            table.append(self.mul_gen(table[u], s))
+        return table
+
     def theta(self, x: dict) -> dict:
         """Image in the quotient of a Hecke element in the T-basis."""
         return lincomb((c, self._theta_t[y]) for y, c in x.items())
@@ -157,13 +171,22 @@ class TL:
 
     # -- multiplication ------------------------------------------------------
 
+    def mul_gen(self, x: dict, s: int) -> dict:
+        """Right multiplication x T_s through the action table."""
+        return lincomb((c, self._act[k][s]) for k, c in x.items())
+
+    def mul_word(self, x: dict, word) -> dict:
+        """Right multiplication by T_{s1} ... T_{sk} for word = (s1, ..., sk)."""
+        for s in word:
+            x = self.mul_gen(x, s)
+        return x
+
     def t_mul(self, ku: int, kw: int) -> dict:
         """Product t_u t_w of basis elements, by position, memoized."""
         key = (ku, kw)
         got = self._t_mul.get(key)
         if got is None:
-            u, w = self.wc[ku], self.wc[kw]
-            got = self.theta(self.h.mul_t(self.h.t(u), w))
+            got = self.theta(self.h.mul_t(self.h.t(self.wc[ku]), self.wc[kw]))
             self._t_mul[key] = got
         return got
 
@@ -178,7 +201,13 @@ class TL:
 
     @cached_property
     def _bar_table(self) -> list:
-        return [self.theta(self.h.bar_t(w)) for w in self.wc]
+        """bar(t_w) = bar(t_u) (q^-1 T_s + q^-1 - 1) for w = us, along g.prefix."""
+        table = [self.one()]
+        for w in self.wc[1:]:
+            u, s = self.g.prefix(w)
+            x = table[self.pos[u]]
+            table.append(lincomb(((_QINV, self.mul_gen(x, s)), (_QINV - ONE, x))))
+        return table
 
     def bar(self, x: dict) -> dict:
         """The bar involution, descended from the Hecke algebra."""

@@ -158,6 +158,15 @@ def test_rho_bijections(variant, family, rank, m, count):
     assert rep.image_matches
 
 
+def test_h4_canonical_images_are_the_admissible_set():
+    # The canonical image statement at H4 (|W| = 14400): TL(H4) is built
+    # on its 195 fully commutative elements alone.
+    rep = rho_build("H", "H", 4)
+    assert rep.single_unit and rep.injective
+    assert len(rep.images) == len(set(rep.images.values())) == 195
+    assert rho_verify_bijection(rep)
+
+
 def test_rho_is_multiplicative():
     for args in (("A", "A", 2, 0), ("I", "I", 2, 4)):
         rep = rho_build(*args[:3], m=args[3])

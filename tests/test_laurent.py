@@ -217,6 +217,19 @@ def test_kernel_never_mutates_its_inputs(ops, more):
     assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})
 
 
+@given(kernel_ops)
+def test_factor_one_adds_alone(ops):
+    # The integer factor 1 (Element.__add__, TL.add) takes the add-only
+    # path; it must agree with no factor and with the Laurent factor 1.
+    ones = [(k, a, 1) for k, a, _ in ops]
+    got = collect(_accumulate(ones))
+    assert got == collect(_accumulate([(k, a, None) for k, a, _ in ops]))
+    assert got == collect(_accumulate([(k, a, ONE) for k, a, _ in ops]))
+    assert got == _naive(ones)
+    assert all(_clean(c) for c in got.values())
+    assert lincomb((1, {k: a}) for k, a, _ in ops) == got
+
+
 coefficients = st.one_of(st.integers(-3, 3), operands)
 vectors = st.dictionaries(st.sampled_from("abc"), operands, max_size=3)
 combinations = st.lists(st.tuples(coefficients, vectors), max_size=6)

@@ -47,6 +47,32 @@ def test_complex_cprime_lies_in_the_kernel(family, rank, m):
             assert q.theta(h.cprime(y)) == {}, g.rwords[y]
 
 
+@pytest.mark.parametrize("family,rank,m", ALL_TYPES)
+def test_action_table_matches_hecke(family, rank, m):
+    # The table t_y T_s, built on W_c alone, against theta of the Hecke
+    # product T_y T_s.
+    g = coxeter_group(family, rank, m)
+    h, q = hecke(g), tl(g)
+    for k, y in enumerate(q.wc):
+        for s in range(g.rank):
+            assert q.mul_gen({k: 1}, s) == q.theta(h.mul_gen(h.t(y), s)), (y, s)
+
+
+def test_h4_canonical_basis_on_wc_alone():
+    g = coxeter_group("H", 4)
+    q = tl(g)
+    assert q.rank == 195
+    for k, w in enumerate(q.wc):
+        cw, unit = q.canonical_t(w), q.canonical_unit(w)
+        assert q.bar(cw) == cw
+        assert unit[k] == ONE
+        assert all(z < k and c.degree() < 0 for z, c in unit.items() if z != k)
+        assert q.star(cw) == q.canonical_t(g.inverse[w])
+    # Neither table over all of W was needed.
+    assert "_theta_t" not in vars(q)
+    assert "_bar_table" not in vars(hecke(g))
+
+
 def test_generator_square():
     for family, rank, m in ALL_TYPES:
         q = tl(coxeter_group(family, rank, m))
@@ -231,11 +257,63 @@ def test_complex_element_moved_into_wc_is_refused(monkeypatch, family, rank, m, 
         TL_MODULE.TL(g)
 
 
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5),
+])
+def test_negated_boundary_row_is_refused(family, rank, m):
+    """Negating t_y T_s at any one rise into a complex element fails the build.
+
+    Later rows are read from the negated one, so the table stays
+    consistent with it; only the certificate can refuse it.
+    """
+    g = coxeter_group(family, rank, m)
+    q = tl(g)
+    boundary = [(y, s) for y in q.wc for s in range(g.rank)
+                if g.right[y][s] not in q.pos]
+    assert boundary
+    for target in boundary:
+        class Negated(TL_MODULE.TL):
+            def _complex_rise(self, y, s, braids):
+                got = super()._complex_rise(y, s, braids)
+                return self.scale(got, -1) if (y, s) == target else got
+
+        with pytest.raises(AssertionError):
+            Negated(g)
+
+
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 1, 0), ("A", 3, 0), ("B", 2, 0), ("I", 2, 5),
+])
+def test_negated_row_of_the_finished_table_is_refused(family, rank, m):
+    # Rise, drop and boundary rows alike; in A1 only the quadratic
+    # relation sees a negated drop row.
+    g = coxeter_group(family, rank, m)
+    for k in range(tl(g).rank):
+        for s in range(g.rank):
+            class Negated(TL_MODULE.TL):
+                def _build_act(self):
+                    super()._build_act()
+                    self._act[k][s] = self.scale(self._act[k][s], -1)
+
+            with pytest.raises(AssertionError):
+                Negated(g)
+
+
+def test_inverse_table_leaving_wc_is_refused(monkeypatch):
+    g = coxeter_group("A", 2)
+    inverse = list(g.inverse)
+    inverse[g.right[0][0]] = g.order - 1  # the complex longest element
+    monkeypatch.setattr(g, "inverse", tuple(inverse))
+    with pytest.raises(AssertionError, match="closed under inverses"):
+        TL_MODULE.TL(g)
+
+
 def test_theta_must_commute_with_star(monkeypatch):
     """An inverse table that swaps two generators fails the star check.
 
-    The quotient map itself is unchanged, so only the comparison of
-    theta(T_{y^-1}) with star theta(T_y) on a complex y can see it.
+    The action table itself is unchanged, so only the check that the
+    left action star R_s star commutes with every right generator can
+    see it.
     """
     g = coxeter_group("A", 3)
     s1, s2 = g.right[0][0], g.right[0][1]
