@@ -6,18 +6,35 @@ T_s T_w = T_{sw} when the length goes up and q T_{sw} + (q-1) T_w when
 it goes down.  The bar involution sends v to v^-1 and T_w to the
 inverse of T_{w^-1}; it is built incrementally along reduced words.
 
-The Kazhdan-Lusztig basis C'_w is computed by the canonical-basis
-engine shared with the Temperley-Lieb quotient.  Both work over a basis
-b_y ordered by length, given by its bar table (bar_table[y] = bar(b_y)
-in the b-basis) and its lengths l(y): :func:`bar_apply` applies bar,
-:func:`canonical_solve` finds the canonical basis, :func:`from_unit`
-and :func:`canonical_coords` convert coordinates.  In the rescaled
-basis e_y = v^{-l(y)} b_y the bar involution is unitriangular, and the
-unique bar-invariant element congruent to e_y modulo strictly negative
-powers is found by back-substitution (:func:`ic_solve`).  The solver
-insists that every correction term K be bar-antisymmetric and aborts
-otherwise, so a wrong multiplication table cannot silently produce a
-"basis".
+The Kazhdan-Lusztig basis C'_w is built by the recursion of
+Kazhdan and Lusztig ("Representations of Coxeter groups and Hecke
+algebras", 1979): for w = us with us > u,
+
+    C'_w = C'_u C'_s - sum of mu(z, u) C'_z over z < u with zs < z,
+
+where mu(z, u) is the top coefficient of P_{z,u}.  It runs along
+g.prefix in the unit coordinates e_y = v^{-l(y)} T_y, in which right
+multiplication by C'_s is one pass of :meth:`Hecke.mul_step` and
+mu(z, u) is the coefficient of v^-1 of C'_u at z.  Each C'_w is
+bar-invariant by construction and must have coefficient 1 at w and
+v^{l(y)-l(w)} P_{y,w} with P_{y,w}(0) = 1 in v^-1 Z[v^-1] elsewhere;
+a wrong mu or a wrong step breaks this and raises ArithmeticError, so
+no wrong "basis" comes out silently.  The bar table over all of W is
+built only for :meth:`Hecke.bar`.
+
+The Temperley-Lieb quotient finds its canonical basis by inverting its
+bar table instead, with the engine below, so the check theta(C'_w) =
+c_w compares two independent computations.  The engine works over a
+basis b_y ordered by length, given by its bar table (bar_table[y] =
+bar(b_y) in the b-basis) and its lengths l(y): :func:`bar_apply`
+applies bar, :func:`canonical_solve` finds the canonical basis,
+:func:`from_unit` and :func:`canonical_coords` convert coordinates.  In
+the rescaled basis e_y = v^{-l(y)} b_y the bar involution is
+unitriangular, and the unique bar-invariant element congruent to e_y
+modulo strictly negative powers is found by back-substitution
+(:func:`ic_solve`).  The solver insists that every correction term K be
+bar-antisymmetric and aborts otherwise, so a wrong multiplication table
+cannot silently produce a "basis".
 
 >>> h = hecke(coxeter_group("A", 2))
 >>> h.mul(h.t(1), h.t(1)) == {0: Laurent("v^2"), 1: Laurent("v^2 - 1")}
@@ -31,7 +48,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, coxeter_group
-from .laurent import Laurent, ONE, ZERO, addmul, collect, lincomb, take
+from .laurent import Laurent, ONE, V, V_INV, ZERO, addmul, collect, lincomb, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
@@ -57,6 +74,9 @@ def gen_step(a, b) -> tuple:
 
 
 _T_S = gen_step(ONE, ZERO)
+# C'_s = v^-1 (T_s + 1) in unit coordinates e_y = v^-l(y) T_y: e_y C'_s is
+# e_ys + v^-1 e_y on a rise and e_ys + v e_y on a drop.
+_CPRIME_S = ((None, V_INV), (None, V))
 # bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1); on a drop w -> ws exactly.
 _BAR_T_S = gen_step(_QINV, _QINV - ONE)
 
@@ -223,7 +243,30 @@ class Hecke:
 
     @cached_property
     def _canonical_table(self) -> list:
-        return canonical_solve(self._bar_table, self.g.lengths)
+        """C'_w = C'_u C'_s - sum of mu(z, u) C'_z over zs < z, for w = us.
+
+        In unit coordinates, along g.prefix (module docstring).  A result
+        off e_w + v^-1 Z[v^-1], or with some P_{y,w}(0) != 1, raises
+        ArithmeticError: a wrong mu breaks the degree bound, a wrong
+        sign in the step the constant term.
+        """
+        g = self.g
+        lengths, right = g.lengths, g.right
+        table = [self.one()]
+        for w in range(1, g.order):
+            u, s = g.prefix(w)
+            cu = table[u]
+            x = self.mul_step(cu, s, _CPRIME_S)
+            mus = [(-mu, table[z]) for z, c in cu.items()
+                   if lengths[right[z][s]] < lengths[z] and (mu := c.coeff(-1))]
+            if mus:
+                x = lincomb([(1, x), *mus])
+            lw = lengths[w]
+            if x.get(w) != ONE or any(c.degree() >= 0 or c.coeff(lengths[y] - lw) != 1
+                                      for y, c in x.items() if y != w):
+                raise ArithmeticError(f"C'_{g.word(w)} is not a Kazhdan-Lusztig element: {x}")
+            table.append(x)
+        return table
 
     def cprime_unit(self, w: int) -> dict:
         """C'_w in the rescaled basis e_y = v^{-len(y)} T_y."""

@@ -30,10 +30,13 @@ the build.
 Elements are sparse dicts over positions in W_c, in the t-basis.  Bar
 descends from H (each generator of J is v^m times the bar-invariant
 C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
-(q^-1 T_s + q^-1 - 1); the canonical basis c_w comes from the solver
-of the Kazhdan-Lusztig basis.  The projection theta(T_us) = theta(T_u)
-T_s over all of W is built on first use, by :meth:`TL.t_mul` and the
-cross-check theta(C'_w) = c_w.
+(q^-1 T_s + q^-1 - 1); the canonical basis c_w is found by inverting
+this bar table (:func:`canonical_solve`), independently of the C'_s
+recursion that gives the Kazhdan-Lusztig basis of H.  Products fold
+the action table too: t_u t_w = (t_u t_x) T_s for w = xs
+(:meth:`TL.t_mul`).  Only the cross-check theta(C'_w) = c_w and
+:meth:`TL.theta` build the projection theta(T_us) = theta(T_u) T_s
+over all of W.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -182,11 +185,19 @@ class TL:
         return x
 
     def t_mul(self, ku: int, kw: int) -> dict:
-        """Product t_u t_w of basis elements, by position, memoized."""
+        """Product t_u t_w of basis elements, by position, memoized.
+
+        t_u t_w = (t_u t_x) T_s for w = xs along g.prefix, and t_u t_1 =
+        t_u; W_c is closed under prefixes, so a miss costs one
+        :meth:`mul_gen` once t_u t_x is known.
+        """
+        if not kw:
+            return {ku: ONE}
         key = (ku, kw)
         got = self._t_mul.get(key)
         if got is None:
-            got = self.theta(self.h.mul_t(self.h.t(self.wc[ku]), self.wc[kw]))
+            x, s = self.g.prefix(self.wc[kw])
+            got = self.mul_gen(self.t_mul(ku, self.pos[x]), s)
             self._t_mul[key] = got
         return got
 

@@ -1,15 +1,26 @@
 """Hecke algebras: quadratic relation, bar involution, canonical basis."""
 
+import importlib
 import random
 
 import pytest
 
 from planalg.coxeter import coxeter_group
-from planalg.hecke import gen_step, hecke
+from planalg.hecke import Hecke, canonical_solve, gen_step, hecke
 from planalg.laurent import Laurent, ONE, V_INV, lincomb
 
 Q = Laurent.v_power(2)
 Q_INV = Laurent.v_power(-2)
+
+# The module itself: the package re-exports the function ``hecke`` under
+# the same name.
+HECKE_MODULE = importlib.import_module("planalg.hecke")
+
+#: The groups whose TL quotients the kl benchmark workload builds.
+KL_GROUPS = [("A", 1, 0), ("A", 2, 0), ("A", 3, 0), ("A", 4, 0),
+             ("B", 2, 0), ("B", 3, 0), ("H", 3, 0)] + [
+    ("I", 2, m) for m in range(3, 13)
+]
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +222,32 @@ def test_bar_table_matches_reference_fold(family, rank, m):
         u, s = g.prefix(w)
         ref.append(h.mul(ref[u], {0: Q_INV - 1, g.right[0][s]: Q_INV}))
     assert [h.bar_t(w) for w in range(g.order)] == ref
+
+
+@pytest.mark.parametrize("family,rank,m", KL_GROUPS)
+def test_recursion_matches_bar_table_inversion(family, rank, m):
+    """The C'_s recursion against ic_solve over the bar table of all of W."""
+    g = coxeter_group(family, rank, m)
+    h = Hecke(g)
+    assert h._canonical_table == canonical_solve(h._bar_table, g.lengths)
+
+
+@pytest.mark.parametrize("mutation", ["mu dropped", "mu doubled", "v^-1 negated", "v negated"])
+@pytest.mark.parametrize("family,rank,m", [("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5)])
+def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
+    if mutation.startswith("mu"):
+        # mu(z, u) is read as the coefficient of v^-1, and nothing else
+        # in the recursion asks for that coefficient.
+        factor = 0 if mutation == "mu dropped" else 2
+        coeff = Laurent.coeff
+        monkeypatch.setattr(Laurent, "coeff", lambda self, k: (
+            factor * coeff(self, k) if k == -1 else coeff(self, k)))
+    else:
+        rise, drop = HECKE_MODULE._CPRIME_S
+        if mutation == "v^-1 negated":
+            rise = (None, -rise[1])
+        else:
+            drop = (None, -drop[1])
+        monkeypatch.setattr(HECKE_MODULE, "_CPRIME_S", (rise, drop))
+    with pytest.raises(ArithmeticError, match="Kazhdan-Lusztig"):
+        Hecke(coxeter_group(family, rank, m))._canonical_table

@@ -192,11 +192,20 @@ def test_algebra_files_are_checked(tmp_path, text, message):
         assert proc.stderr == f"planalg: --algebra {path}: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["tlbasis", "embed", "conjecture"])
+@pytest.mark.parametrize("command", ["tlbasis", "conjecture"])
 def test_h4_is_refused_up_front(command):
+    # Both commands run Kazhdan-Lusztig oracles over all of W.
     proc = run_cli(command, "--type", "H", "--rank", "4")
     assert proc.returncode == 2
     assert "--rank 4" in proc.stderr
+
+
+def test_h4_embedding_is_accepted():
+    proc = run_cli("--machine", "embed", "--type", "H", "--rank", "4")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert "canonical_images=195" in lines
+    assert "bijection=True" in lines
 
 
 def test_selftest_single_check_passes():

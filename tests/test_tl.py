@@ -6,7 +6,7 @@ import random
 import pytest
 
 from planalg.coxeter import coxeter_group, wc_classify
-from planalg.hecke import hecke
+from planalg.hecke import Hecke, hecke
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.tl import tl
 
@@ -34,6 +34,16 @@ def test_construction_and_rank(family, rank, m):
 @pytest.mark.parametrize("family,rank,m", ALL_TYPES)
 def test_cross_oracle(family, rank, m):
     assert tl(coxeter_group(family, rank, m)).cross_check_canonical()
+
+
+@pytest.mark.parametrize("family,rank,m", ALL_TYPES)
+def test_cross_oracle_builds_no_hecke_bar_table(family, rank, m):
+    # A fresh Hecke algebra, so no other test has asked it for bar.
+    g = coxeter_group(family, rank, m)
+    q = TL_MODULE.TL(g)
+    q.h = Hecke(g)
+    assert q.cross_check_canonical()
+    assert "_bar_table" not in vars(q.h)
 
 
 @pytest.mark.parametrize("family,rank,m", ALL_TYPES)
@@ -69,6 +79,25 @@ def test_h4_canonical_basis_on_wc_alone():
         assert all(z < k and c.degree() < 0 for z, c in unit.items() if z != k)
         assert q.star(cw) == q.canonical_t(g.inverse[w])
     # Neither table over all of W was needed.
+    assert "_theta_t" not in vars(q)
+    assert "_bar_table" not in vars(hecke(g))
+
+
+def test_h4_products_on_wc_alone():
+    g = coxeter_group("H", 4)
+    q = tl(g)
+    b0, b1 = q.b(0), q.b(1)
+    assert q.mul(b0, b0) == q.scale(b0, DELTA)
+    b01 = q.mul(b0, b1)
+    assert q.star(b01) == q.mul(b1, b0)
+    for k in (0, 5, 57, q.rank - 1):
+        assert q.t_mul(k, 0) == q.t_mul(0, k) == {k: ONE}
+    # t_u t_w = t_uw whenever the lengths add inside W_c.
+    for ku, kw in ((5, 7), (7, 5), (12, 30), (q.rank - 1, 1)):
+        uw = g.mult(q.wc[ku], q.wc[kw])
+        if uw in q.pos and g.lengths[uw] == q.lengths[ku] + q.lengths[kw]:
+            assert q.t_mul(ku, kw) == {q.pos[uw]: ONE}
+        assert q.star(q.t_mul(ku, kw)) == q.mul(q.star({kw: ONE}), q.star({ku: ONE}))
     assert "_theta_t" not in vars(q)
     assert "_bar_table" not in vars(hecke(g))
 
