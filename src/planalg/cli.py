@@ -46,18 +46,14 @@ def _context(args) -> Context:
     return Context(args.n, alg)
 
 
-def _group(args, whole_w: bool = False):
+def _group(args):
     """The Coxeter group named by --type/--rank/--m; ranks and m are
-    checked by :func:`coxeter_group`.  With whole_w (tlbasis and
-    conjecture, which run oracles over all of W) H4 is refused up front."""
+    checked by :func:`coxeter_group`."""
     family = args.type
     if family not in ("A", "B", "H", "I"):
         raise UsageError(f"--type {family}: expected one of A, B, H, I")
     if args.m and family != "I":
         raise UsageError("--m only applies to type I")
-    if whole_w and (family, args.rank) == ("H", 4):
-        raise UsageError(f"--rank 4: {args.command} supports type H up to rank 3 "
-                         "(its oracle over all of H4 does not finish)")
     try:
         return coxeter_group(family, args.rank, args.m)
     except ValueError as exc:
@@ -154,7 +150,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_tlbasis(args) -> int:
-    q = tl(_group(args, whole_w=True))
+    q = tl(_group(args))
     print(f"group: {q.g.name}")
     print(f"wc: {q.rank}")
     for w in q.wc:
@@ -184,7 +180,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _group(args, whole_w=True)  # validates type/rank/m
+    if _group(args).name == "H4":  # _group validates type/rank/m
+        raise UsageError("--rank 4: conjecture supports type H up to rank 3 "
+                         "(it maps C'_w for all 14,400 elements of H4)")
     try:
         rep = conjecture_436_check(args.type, args.rank, m=args.m)
     except ValueError as exc:

@@ -134,6 +134,29 @@ class CoxeterGroup:
         return reduce(lambda a, g: self.right[a][g], word, 0)
 
 
+class PrefixTable(dict):
+    """A table over the elements of g, filled along g.prefix on first read.
+
+    table[0] is first; reading a missing w stores step(table[u], u, s)
+    for (u, s) = g.prefix(w), so only w, its prefixes and what step
+    reads are built.  A step that raises stores nothing.
+
+    >>> words = PrefixTable(coxeter_group("A", 2), "", lambda x, u, s: x + str(s + 1))
+    >>> words[5], sorted(words)
+    ('121', [0, 1, 3, 5])
+    """
+
+    def __init__(self, g: CoxeterGroup, first, step):
+        super().__init__({0: first})
+        self.g = g
+        self.step = step
+
+    def __missing__(self, w: int):
+        u, s = self.g.prefix(w)
+        got = self[w] = self.step(self[u], u, s)
+        return got
+
+
 def _bfs(num_gens: int, start, act) -> tuple:
     index = {start: 0}
     states = [start]
@@ -195,7 +218,8 @@ def coxeter_group(family: str, rank: int, m: int = 0) -> CoxeterGroup:
     """Build (and cache) the Coxeter group of the given type.
 
     Supported: A_1..A_4, B_2..B_3, H_3, H_4, I_2(m) for 3 <= m <= 12.
-    H_4 has 14400 elements and is meant for opt-in use only.
+    H_4 has 14400 elements; tables over a group fill on first read
+    (:class:`PrefixTable`), so a computation builds only what it reads.
 
     >>> coxeter_group("B", 3).order
     48

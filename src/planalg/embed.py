@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterGroup, coxeter_group
+from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
 from .hecke import hecke
 from .laurent import Laurent, ONE, lincomb
@@ -186,7 +186,7 @@ class DiagramEmbedding:
             self.ctx.e_element(s + 1, self.gen_labels[s]) for s in range(g.rank)
         ]
         self._that = [e.scale(_V) - self.ctx.one() for e in self.gen_e]
-        self._timage = {0: self.ctx.one()}
+        self._timage = PrefixTable(g, self.ctx.one(), lambda x, u, s: x * self._that[s])
         self._verify_relations()
 
     def _verify_relations(self) -> None:
@@ -210,13 +210,8 @@ class DiagramEmbedding:
     # -- images ---------------------------------------------------------------
 
     def t_image(self, w: int) -> Element:
-        """Image of T_w, folding the fixed reduced word with memoization."""
-        got = self._timage.get(w)
-        if got is None:
-            u, s = self.g.prefix(w)
-            got = self.t_image(u) * self._that[s]
-            self._timage[w] = got
-        return got
+        """Image of T_w = T_u T_s, w = us along g.prefix, built on first read."""
+        return self._timage[w]
 
     def rho_hecke(self, x: dict) -> Element:
         """Image of a Hecke element in the T-basis (group-indexed)."""

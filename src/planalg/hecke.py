@@ -19,8 +19,8 @@ mu(z, u) is the coefficient of v^-1 of C'_u at z.  Each C'_w is
 bar-invariant by construction and must have coefficient 1 at w and
 v^{l(y)-l(w)} P_{y,w} with P_{y,w}(0) = 1 in v^-1 Z[v^-1] elsewhere;
 a wrong mu or a wrong step breaks this and raises ArithmeticError, so
-no wrong "basis" comes out silently.  The bar table over all of W is
-built only for :meth:`Hecke.bar`.
+no wrong "basis" comes out silently.  Both this table and the bar
+table fill on first read (:class:`PrefixTable`); C'_w never reads bar.
 
 The Temperley-Lieb quotient finds its canonical basis by inverting its
 bar table instead, with the engine below, so the check theta(C'_w) =
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .coxeter import CoxeterGroup, coxeter_group
+from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
 from .laurent import Laurent, ONE, V, V_INV, ZERO, addmul, collect, lincomb, take
 
 _Q = Laurent.v_power(2)
@@ -217,20 +217,9 @@ class Hecke:
     # -- bar involution ---------------------------------------------------
 
     @cached_property
-    def _bar_table(self) -> list:
-        """bar(T_w) = (T_{w^-1})^-1 for every w, built along reduced words.
-
-        bar is a ring map, so bar(T_u T_s) = bar(T_u) bar(T_s) with
-        bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1) T_e; for s the last
-        letter of the reduced word of w, the prefix u = ws always has a
-        smaller index.
-        """
-        g = self.g
-        table = [self.one()]
-        for w in range(1, g.order):
-            u, s = g.prefix(w)
-            table.append(self.mul_step(table[u], s, _BAR_T_S))
-        return table
+    def _bar_table(self) -> PrefixTable:
+        """bar(T_us) = bar(T_u) T_s^-1, T_s^-1 = q^-1 T_s + q^-1 - 1, on first read."""
+        return PrefixTable(self.g, self.one(), lambda x, u, s: self.mul_step(x, s, _BAR_T_S))
 
     def bar_t(self, w: int) -> dict:
         """bar(T_w) in the T-basis."""
@@ -242,7 +231,7 @@ class Hecke:
     # -- Kazhdan-Lusztig basis ---------------------------------------------
 
     @cached_property
-    def _canonical_table(self) -> list:
+    def _canonical_table(self) -> PrefixTable:
         """C'_w = C'_u C'_s - sum of mu(z, u) C'_z over zs < z, for w = us.
 
         In unit coordinates, along g.prefix (module docstring).  A result
@@ -252,20 +241,19 @@ class Hecke:
         """
         g = self.g
         lengths, right = g.lengths, g.right
-        table = [self.one()]
-        for w in range(1, g.order):
-            u, s = g.prefix(w)
-            cu = table[u]
+        def step(cu, u, s):
             x = self.mul_step(cu, s, _CPRIME_S)
             mus = [(-mu, table[z]) for z, c in cu.items()
                    if lengths[right[z][s]] < lengths[z] and (mu := c.coeff(-1))]
             if mus:
                 x = lincomb([(1, x), *mus])
+            w = right[u][s]
             lw = lengths[w]
             if x.get(w) != ONE or any(c.degree() >= 0 or c.coeff(lengths[y] - lw) != 1
                                       for y, c in x.items() if y != w):
                 raise ArithmeticError(f"C'_{g.word(w)} is not a Kazhdan-Lusztig element: {x}")
-            table.append(x)
+            return x
+        table = PrefixTable(g, self.one(), step)
         return table
 
     def cprime_unit(self, w: int) -> dict:
@@ -284,7 +272,8 @@ class Hecke:
 
     def to_cprime(self, x: dict) -> dict:
         """Coordinates of x in the C'-basis (triangular substitution)."""
-        return canonical_coords(x, self.g.lengths, self._canonical_table)
+        table = self._canonical_table
+        return canonical_coords(x, self.g.lengths, [table[w] for w in range(self.g.order)])
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:
         """The polynomial P_{y,w} in q = v^2 (zero when y is not below w)."""

@@ -34,9 +34,10 @@ C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
 this bar table (:func:`canonical_solve`), independently of the C'_s
 recursion that gives the Kazhdan-Lusztig basis of H.  Products fold
 the action table too: t_u t_w = (t_u t_x) T_s for w = xs
-(:meth:`TL.t_mul`).  Only the cross-check theta(C'_w) = c_w and
-:meth:`TL.theta` build the projection theta(T_us) = theta(T_u) T_s
-over all of W.
+(:meth:`TL.t_mul`).  The projection theta(T_us) = theta(T_u) T_s of
+:meth:`TL.theta` is built on first read (:class:`PrefixTable`), so the
+cross-check theta(C'_w) = c_w touches only the lower Bruhat ideal of
+W_c, where C'_w lives.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .coxeter import CoxeterGroup, coxeter_group, wc_classify
+from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
     _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_solve, from_unit,
     hecke,
@@ -153,14 +154,9 @@ class TL:
         return {0: V_INV, self.pos[self.g.right[0][s]]: V_INV}
 
     @cached_property
-    def _theta_t(self) -> list:
-        """theta(T_w) = theta(T_u) T_s for every w = us in W, along g.prefix."""
-        g = self.g
-        table = [self.one()]
-        for w in range(1, g.order):
-            u, s = g.prefix(w)
-            table.append(self.mul_gen(table[u], s))
-        return table
+    def _theta_t(self) -> PrefixTable:
+        """theta(T_w) = theta(T_u) T_s for w = us in W, filled on first read."""
+        return PrefixTable(self.g, self.one(), lambda x, u, s: self.mul_gen(x, s))
 
     def theta(self, x: dict) -> dict:
         """Image in the quotient of a Hecke element in the T-basis."""
@@ -212,13 +208,10 @@ class TL:
 
     @cached_property
     def _bar_table(self) -> list:
-        """bar(t_w) = bar(t_u) (q^-1 T_s + q^-1 - 1) for w = us, along g.prefix."""
-        table = [self.one()]
-        for w in self.wc[1:]:
-            u, s = self.g.prefix(w)
-            x = table[self.pos[u]]
-            table.append(lincomb(((_QINV, self.mul_gen(x, s)), (_QINV - ONE, x))))
-        return table
+        """bar(t_w) = bar(t_u) (q^-1 T_s + q^-1 - 1) for w = us, by position."""
+        table = PrefixTable(self.g, self.one(), lambda x, u, s: lincomb(
+            ((_QINV, self.mul_gen(x, s)), (_QINV - ONE, x))))
+        return [table[w] for w in self.wc]
 
     def bar(self, x: dict) -> dict:
         """The bar involution, descended from the Hecke algebra."""

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from planalg.coxeter import coxeter_group, wc_classify
+from planalg.coxeter import PrefixTable, coxeter_group, wc_classify
 
 
 @pytest.mark.parametrize(
@@ -160,3 +160,32 @@ def test_prefix_splits_off_the_last_letter():
         u, s = g.prefix(w)
         assert g.rwords[u] + (s,) == g.rwords[w]
         assert g.right[u][s] == w
+
+
+def test_prefix_table_builds_the_prefixes_alone():
+    g = coxeter_group("H", 3)
+    for w in range(g.order):
+        table = PrefixTable(g, (), lambda x, u, s: x + (s,))
+        assert table[w] == g.rwords[w]
+        assert len(table) == g.lengths[w] + 1
+
+
+def test_prefix_table_stores_nothing_when_the_step_raises():
+    g = coxeter_group("A", 3)
+    w = g.order - 1
+    calls = []
+
+    def step(x, u, s):
+        calls.append(u)
+        if g.right[u][s] == w:
+            raise ArithmeticError("refused")
+        return x + 1
+
+    table = PrefixTable(g, 0, step)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="refused"):
+            table[w]
+        assert w not in table
+    # The prefixes were stored on the first read and are not rebuilt.
+    assert len(table) == g.lengths[w]
+    assert len(calls) == g.lengths[w] + 1

@@ -229,7 +229,8 @@ def test_recursion_matches_bar_table_inversion(family, rank, m):
     """The C'_s recursion against ic_solve over the bar table of all of W."""
     g = coxeter_group(family, rank, m)
     h = Hecke(g)
-    assert h._canonical_table == canonical_solve(h._bar_table, g.lengths)
+    bar_table = [h.bar_t(w) for w in range(g.order)]
+    assert [h.cprime_unit(w) for w in range(g.order)] == canonical_solve(bar_table, g.lengths)
 
 
 @pytest.mark.parametrize("mutation", ["mu dropped", "mu doubled", "v^-1 negated", "v negated"])
@@ -249,5 +250,8 @@ def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
         else:
             drop = (None, -drop[1])
         monkeypatch.setattr(HECKE_MODULE, "_CPRIME_S", (rise, drop))
+    g = coxeter_group(family, rank, m)
+    h = Hecke(g)
     with pytest.raises(ArithmeticError, match="Kazhdan-Lusztig"):
-        Hecke(coxeter_group(family, rank, m))._canonical_table
+        for w in range(g.order):
+            h.cprime_unit(w)

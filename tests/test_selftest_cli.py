@@ -192,12 +192,23 @@ def test_algebra_files_are_checked(tmp_path, text, message):
         assert proc.stderr == f"planalg: --algebra {path}: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["tlbasis", "conjecture"])
+@pytest.mark.parametrize("command", ["conjecture"])
 def test_h4_is_refused_up_front(command):
-    # Both commands run Kazhdan-Lusztig oracles over all of W.
+    # conjecture maps C'_w for every element of W.
     proc = run_cli(command, "--type", "H", "--rank", "4")
     assert proc.returncode == 2
     assert "--rank 4" in proc.stderr
+    assert "14,400 elements" in proc.stderr
+
+
+def test_h4_tlbasis_is_accepted():
+    # The oracle reads only the lower Bruhat ideal of W_c.
+    proc = run_cli("tlbasis", "--type", "H", "--rank", "4")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["group: H4", "wc: 195"]
+    assert len(lines) == 2 + 195 + 1
+    assert lines[-1] == "oracle: theta(C'_w) == c_w for all w"
 
 
 def test_h4_embedding_is_accepted():

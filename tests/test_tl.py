@@ -31,15 +31,23 @@ def test_construction_and_rank(family, rank, m):
     assert q.wc[0] == 0  # identity comes first
 
 
-@pytest.mark.parametrize("family,rank,m", ALL_TYPES)
+# C'_w and theta(T_w) built by the oracle theta(C'_w) = c_w, out of |W|
+# (120, 48, 120, 14400): the lower Bruhat ideal of W_c and its prefixes.
+ORACLE_READS = {"A4": (42, 63), "B3": (25, 29), "H3": (46, 76), "H4": (269, 840)}
+
+
+@pytest.mark.parametrize("family,rank,m", ALL_TYPES + [("H", 4, 0)])
 def test_cross_oracle(family, rank, m):
-    # A fresh Hecke algebra, so no other test has asked it for bar: the
-    # oracle's C'_w come from the C'_s recursion, not from a bar table.
+    # A fresh quotient and Hecke algebra, so no other test has filled
+    # their tables: the oracle's C'_w come from the C'_s recursion, not
+    # from a bar table, and only the ones it reads are built.
     g = coxeter_group(family, rank, m)
     q = TL_MODULE.TL(g)
     q.h = Hecke(g)
     assert q.cross_check_canonical()
     assert "_bar_table" not in vars(q.h)
+    if g.name in ORACLE_READS:
+        assert (len(q.h._canonical_table), len(q._theta_t)) == ORACLE_READS[g.name]
 
 
 @pytest.mark.parametrize("family,rank,m", ALL_TYPES)
