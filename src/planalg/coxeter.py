@@ -6,9 +6,10 @@ signed permutations for type B (the sign flip is generator 0), the
 orbit of one regular vector over Z[phi] for type H, and the dihedral
 action on Z/m for I_2(m).  Elements are the integers 0..order-1 ordered by
 (length, lexicographically least reduced word); index 0 is the
-identity.  The tables give right and left multiplication by
-generators, inverses, lengths and reduced words, which is everything
-the Hecke-algebra layer consumes.
+identity.  The tables give right multiplication by generators,
+inverses, lengths and reduced words, which is everything the
+Hecke-algebra layer consumes.  There is no left table: left products
+come from right ones through the inverse, s w = (w^-1 s)^-1.
 
 Generators are numbered along the chain with the strong bond first:
 m(0,1) is 4 for type B, 5 for type H and m for I_2(m); all other
@@ -48,13 +49,13 @@ def _zphi_mul(x: tuple, y: tuple) -> tuple:
 
 
 class CoxeterGroup:
-    """A finite Coxeter group backed by dense generator-action tables."""
+    """A finite Coxeter group backed by a dense right generator-action table."""
 
-    def __init__(self, name: str, bonds: tuple, states: list, right: list):
+    def __init__(self, name: str, bonds: tuple, right: list):
         self.name = name
         self.bonds = bonds
         self.rank = len(bonds)
-        self.order = len(states)
+        self.order = len(right)
         self.right = tuple(tuple(row) for row in right)
         lengths = [0] * self.order
         rwords: list = [()] * self.order
@@ -70,10 +71,6 @@ class CoxeterGroup:
         self.rwords = tuple(rwords)
         self.inverse = tuple(
             reduce(lambda a, s: self.right[a][s], reversed(w), 0) for w in rwords
-        )
-        self.left = tuple(
-            tuple(self.inverse[self.right[self.inverse[i]][s]] for s in range(self.rank))
-            for i in range(self.order)
         )
 
     def __repr__(self):
@@ -112,9 +109,7 @@ class CoxeterGroup:
         )
 
     def left_descents(self, i: int) -> frozenset:
-        return frozenset(
-            s for s in range(self.rank) if self.lengths[self.left[i][s]] < self.lengths[i]
-        )
+        return self.right_descents(self.inverse[i])
 
     def word(self, w: int) -> str:
         """A reduced word of w, generators numbered from 1; "e" for the identity.
@@ -286,7 +281,7 @@ def coxeter_group(family: str, rank: int, m: int = 0) -> CoxeterGroup:
         raise ValueError(f"unknown family {family!r}")
     if len(states) != expect:
         raise AssertionError(f"{name}: enumerated {len(states)}, expected {expect}")
-    return CoxeterGroup(name, bonds, states, right)
+    return CoxeterGroup(name, bonds, right)
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +290,12 @@ def wc_classify(g: CoxeterGroup) -> tuple:
 
     An element is complex when it can be written as a reduced product
     x1 * w_st * x2 with w_st the longest element of a dihedral parabolic
-    on a bond of strength >= 3.  Working up by length: w is complex
-    exactly when some alternating word s,t,s,... of length m(s,t) can
-    be stripped from the left with every step a descent, or some left
-    descent s of w has s*w complex.
+    on a bond of strength >= 3.  The rule is read from the right, on
+    g.right alone, working up by length: w is complex exactly when some
+    alternating word s,t,s,... of length m(s,t) can be stripped from
+    the right with every step a descent, or some right descent s of w
+    has ws complex.  (Read from the left it gives the same set, since
+    w is complex exactly when w^-1 is.)
 
     >>> len(wc_classify(coxeter_group("A", 3))[0])
     14
@@ -312,20 +309,15 @@ def wc_classify(g: CoxeterGroup) -> tuple:
         for s, t in pairs:
             x = i
             for k in range(g.bonds[s][t]):
-                letter = s if k % 2 == 0 else t
-                y = g.left[x][letter]
+                y = g.right[x][s if k % 2 == 0 else t]
                 if g.lengths[y] >= g.lengths[x]:
                     break
                 x = y
             else:
                 found = True
-            if found:
                 break
         if not found:
-            for s in g.left_descents(i):
-                if is_complex[g.left[i][s]]:
-                    found = True
-                    break
+            found = any(is_complex[g.right[i][s]] for s in g.right_descents(i))
         is_complex[i] = found
     wc = tuple(i for i in range(g.order) if not is_complex[i])
     cx = tuple(i for i in range(g.order) if is_complex[i])

@@ -9,11 +9,12 @@ are exact integers; anything that is not ``numbers.Integral`` is
 refused with ``TypeError`` rather than truncated.
 
 Sparse combinations ``sum_k c_k x_k`` of vectors ``{key: Laurent}`` are
-built by :func:`lincomb` from the ``(c_k, x_k)`` pairs.  It runs on one
-accumulation kernel, called directly only by loops that read or take
-rows mid-build, relabel keys per term or sum scalars.  The kernel
-replaces ``acc[k] = acc.get(k) + c * d``, which would allocate a
-product, copy the accumulated dict and wrap it again for every term.
+built by :func:`lincomb` from the ``(c_k, x_k)`` pairs, and scalar sums
+``sum_k a_k b_k`` by :func:`dot`.  Both run on one accumulation kernel,
+called directly only by loops that read or take rows mid-build or
+relabel keys per term.  The kernel replaces
+``acc[k] = acc.get(k) + c * d``, which would allocate a product, copy
+the accumulated dict and wrap it again for every term.
 A combination under construction is a dict
 ``rows = {key: {exponent: int}}`` of *private rows*:
 
@@ -424,6 +425,21 @@ def lincomb(pairs) -> dict:
         for key, x in vec.items():
             addmul(rows, key, x, c)
     return collect(rows)
+
+
+def dot(pairs) -> Laurent:
+    """The sum of ``a * b`` over the ``(a, b)`` pairs, as one clean Laurent.
+
+    ``a`` and ``b`` are Laurents or integers; ``pairs`` is any
+    iterable, a generator included.  Neither factor is modified.
+
+    >>> dot([(V, V_INV), (2, DELTA), (-1, ONE)])
+    Laurent('2v + 2v^-1')
+    """
+    rows: dict = {}
+    for a, b in pairs:
+        addmul(rows, 0, a, b)
+    return take(rows, 0)
 
 
 class QSqrt2:

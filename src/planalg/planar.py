@@ -52,7 +52,7 @@ from .diagram import (
     star_matching,
     tensor_matched,
 )
-from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, lincomb, take
+from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, dot, lincomb
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 from .verlinde import w_multiply
 
@@ -368,10 +368,7 @@ class Element:
 
     def trace(self) -> Laurent:
         """Closure trace tr: close each diagram with nested arcs i -- 2n+1-i."""
-        rows: dict = {}
-        for k, c in self.terms.items():
-            addmul(rows, 0, c, trace_of_diagram(self.ctx, k))
-        return take(rows, 0)
+        return dot((c, trace_of_diagram(self.ctx, k)) for k, c in self.terms.items())
 
     def tau(self) -> Laurent:
         """The normalized trace tau = v^-n tr."""

@@ -31,7 +31,7 @@ from .embed import (
     rho_verify_bijection,
 )
 from .laurent import (
-    DELTA, Laurent, ONE, QSqrt2, SQRT2, addmul, take, vneg_congruent,
+    DELTA, Laurent, ONE, QSqrt2, SQRT2, dot, vneg_congruent,
 )
 from .planar import Context, is_exposed, verify_tensor_iso
 from .table_algebra import check_algebra
@@ -273,10 +273,7 @@ def _form_fixture(variant, fam, rank, m):
     tau_rho = [emb.t_image(w).tau() for w in q.wc]
 
     def form(x, y):
-        rows: dict = {}
-        for k, c in q.mul(x, q.star(y)).items():
-            addmul(rows, 0, c, tau_rho[k])
-        return take(rows, 0)
+        return dot((c, tau_rho[k]) for k, c in q.mul(x, q.star(y)).items())
 
     return rep, emb, q, form
 

@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 
 from .diagram import HalfDiagram, half_arcs, half_join, half_split, star_diagram
-from .laurent import Laurent, ONE, ZERO, addmul, take, vneg_congruent
+from .laurent import Laurent, ONE, ZERO, dot, vneg_congruent
 from .planar import Context, Element, diagram_product, trace_of_diagram
 from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
 
@@ -163,10 +163,7 @@ class TabularDatum:
     def _tau_product(self, i: int, j: int) -> Laurent:
         """tau(basis[i] . basis[j]) through the product table."""
         tau = self.tau_vector()
-        rows: dict = {}
-        for k, g in self.product(i, j).items():
-            addmul(rows, 0, g, tau[k])
-        return take(rows, 0)
+        return dot((g, tau[k]) for k, g in self.product(i, j).items())
 
     def tau_vector(self) -> list:
         if self._tau is None:

@@ -33,11 +33,13 @@ C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
 (q^-1 T_s + q^-1 - 1); the canonical basis c_w is found by inverting
 this bar table (:func:`canonical_solve`), independently of the C'_s
 recursion that gives the Kazhdan-Lusztig basis of H.  Products fold
-the action table too: t_u t_w = (t_u t_x) T_s for w = xs
-(:meth:`TL.t_mul`).  The projection theta(T_us) = theta(T_u) T_s of
-:meth:`TL.theta` is built on first read (:class:`PrefixTable`), so the
-cross-check theta(C'_w) = c_w touches only the lower Bruhat ideal of
-W_c, where C'_w lives.
+the action table too, one row per basis element: row k holds
+t_y T_us = (t_y T_u) T_s (y = wc[k]), filled along g.prefix on first
+read (:class:`PrefixTable`).  The product t_u t_w is row u read at w
+in W_c (:meth:`TL.t_mul`), and the projection theta(T_w) = t_1 T_w is
+row 0 read at any w in W (:meth:`TL.theta`), so the cross-check
+theta(C'_w) = c_w touches only the lower Bruhat ideal of W_c, where
+C'_w lives.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -75,7 +77,9 @@ class TL:
                 "fully commutative set not closed under inverses and prefixes")
         self._build_act()
         self._certify()
-        self._t_mul: dict = {}
+        # Row k holds t_y T_w (y = wc[k]) for the w read so far.
+        self._rows = [PrefixTable(g, {k: ONE}, lambda x, u, s: self.mul_gen(x, s))
+                      for k in range(self.rank)]
 
     # -- construction ------------------------------------------------------
 
@@ -153,14 +157,12 @@ class TL:
         """The generator b_s = v^-1 t_1 + v^-1 t_s."""
         return {0: V_INV, self.pos[self.g.right[0][s]]: V_INV}
 
-    @cached_property
-    def _theta_t(self) -> PrefixTable:
-        """theta(T_w) = theta(T_u) T_s for w = us in W, filled on first read."""
-        return PrefixTable(self.g, self.one(), lambda x, u, s: self.mul_gen(x, s))
-
     def theta(self, x: dict) -> dict:
-        """Image in the quotient of a Hecke element in the T-basis."""
-        return lincomb((c, self._theta_t[y]) for y, c in x.items())
+        """Image in the quotient of a Hecke element in the T-basis.
+
+        theta(T_w) = t_1 T_w is read from the product row of t_1.
+        """
+        return lincomb((c, self._rows[0][y]) for y, c in x.items())
 
     def add(self, x: dict, y: dict) -> dict:
         return lincomb(((1, x), (1, y)))
@@ -181,21 +183,13 @@ class TL:
         return x
 
     def t_mul(self, ku: int, kw: int) -> dict:
-        """Product t_u t_w of basis elements, by position, memoized.
+        """Product t_u t_w of basis elements, by position.
 
-        t_u t_w = (t_u t_x) T_s for w = xs along g.prefix, and t_u t_1 =
-        t_u; W_c is closed under prefixes, so a miss costs one
-        :meth:`mul_gen` once t_u t_x is known.
+        Row ku holds t_u T_w = (t_u T_x) T_s for w = xs, filled along
+        g.prefix on first read; t_u t_w = t_u T_w for w in W_c, which is
+        closed under prefixes, so a row read this way holds W_c alone.
         """
-        if not kw:
-            return {ku: ONE}
-        key = (ku, kw)
-        got = self._t_mul.get(key)
-        if got is None:
-            x, s = self.g.prefix(self.wc[kw])
-            got = self.mul_gen(self.t_mul(ku, self.pos[x]), s)
-            self._t_mul[key] = got
-        return got
+        return self._rows[ku][self.wc[kw]]
 
     def mul(self, x: dict, y: dict) -> dict:
         return lincomb(

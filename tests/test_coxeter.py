@@ -119,6 +119,45 @@ def test_fully_commutative_set_is_inverse_closed():
     assert all(g.inverse[w] in wc_set for w in wc)
 
 
+# Every group of order at most 120.
+SMALL_GROUPS = [("A", r, 0) for r in range(1, 5)] + [
+    ("B", 2, 0), ("B", 3, 0), ("H", 3, 0)] + [("I", 2, m) for m in range(3, 13)]
+
+
+def _reduced_words(g):
+    """All reduced words of every element: w = (ws) s for each right descent s."""
+    words = [[()]]
+    for w in range(1, g.order):
+        words.append([u + (s,) for s in g.right_descents(w) for u in words[g.right[w][s]]])
+    return words
+
+
+@pytest.mark.parametrize("family,rank,m", SMALL_GROUPS)
+def test_wc_classify_matches_the_definition(family, rank, m):
+    # w is complex iff some reduced word of w contains an alternating
+    # factor s,t,s,... of length m(s,t) on a bond of strength >= 3.
+    g = coxeter_group(family, rank, m)
+    braids = [tuple((a, b)[k % 2] for k in range(g.bonds[s][t]))
+              for s, t in g.bond_pairs() for a, b in ((s, t), (t, s))]
+
+    def has_braid(word):
+        return any(word[i:i + len(b)] == b
+                   for b in braids for i in range(len(word) - len(b) + 1))
+
+    words = _reduced_words(g)
+    complex_part = tuple(w for w in range(g.order) if any(map(has_braid, words[w])))
+    wc = tuple(w for w in range(g.order) if w not in complex_part)
+    assert wc_classify(g) == (wc, complex_part)
+
+
+@pytest.mark.parametrize("family,rank,m", SMALL_GROUPS)
+def test_left_descents_by_left_multiplication(family, rank, m):
+    g = coxeter_group(family, rank, m)
+    for w in range(g.order):
+        want = {s for s in range(g.rank) if g.lengths[g.mult(g.right[0][s], w)] < g.lengths[w]}
+        assert g.left_descents(w) == want
+
+
 def test_largest_group_census():
     g = coxeter_group("H", 4)
     assert g.order == 14400

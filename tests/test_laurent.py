@@ -16,6 +16,7 @@ from planalg.laurent import (
     ZERO,
     addmul,
     collect,
+    dot,
     lincomb,
     take,
     vneg_congruent,
@@ -272,4 +273,31 @@ def test_lincomb_edge_cases():
     assert lincomb([(0, {"a": DELTA}), (DELTA, {"b": ZERO})]) == {}
     got = lincomb([(1, {"a": ONE}), (V, {"a": V_INV})])
     assert got == {"a": Laurent(2)} and got["a"] is not ONE
+
+
+@given(st.lists(st.tuples(coefficients, coefficients), max_size=6), st.booleans())
+def test_dot_matches_naive_sums(pairs, cancel):
+    if cancel:  # append every pair with its first factor negated: the sum cancels
+        pairs = pairs + [(-a, b) for a, b in pairs]
+
+    def snapshot():
+        return [tuple(x._c.copy() if isinstance(x, Laurent) else x for x in pair)
+                for pair in pairs]
+
+    before = snapshot()
+    want = ZERO
+    for a, b in pairs:
+        want = want + a * b
+    got = dot(pair for pair in pairs)
+    assert got == want and _clean(got)
+    if cancel:
+        assert got == ZERO
+    assert snapshot() == before
+    assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})
+
+
+def test_dot_edge_cases():
+    assert dot([]) == dot(iter(())) == ZERO
+    got = dot([(ONE, 1)])
+    assert got == ONE and got is not ONE
 

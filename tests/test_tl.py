@@ -31,8 +31,9 @@ def test_construction_and_rank(family, rank, m):
     assert q.wc[0] == 0  # identity comes first
 
 
-# C'_w and theta(T_w) built by the oracle theta(C'_w) = c_w, out of |W|
-# (120, 48, 120, 14400): the lower Bruhat ideal of W_c and its prefixes.
+# C'_w and theta(T_w) = t_1 T_w (the product row of t_1) built by the
+# oracle theta(C'_w) = c_w, out of |W| (120, 48, 120, 14400): the lower
+# Bruhat ideal of W_c and its prefixes.
 ORACLE_READS = {"A4": (42, 63), "B3": (25, 29), "H3": (46, 76), "H4": (269, 840)}
 
 
@@ -47,7 +48,7 @@ def test_cross_oracle(family, rank, m):
     assert q.cross_check_canonical()
     assert "_bar_table" not in vars(q.h)
     if g.name in ORACLE_READS:
-        assert (len(q.h._canonical_table), len(q._theta_t)) == ORACLE_READS[g.name]
+        assert (len(q.h._canonical_table), len(q._rows[0])) == ORACLE_READS[g.name]
 
 
 @pytest.mark.parametrize("family,rank,m", ALL_TYPES)
@@ -82,8 +83,9 @@ def test_h4_canonical_basis_on_wc_alone():
         assert unit[k] == ONE
         assert all(z < k and c.degree() < 0 for z, c in unit.items() if z != k)
         assert q.star(cw) == q.canonical_t(g.inverse[w])
-    # Neither table over all of W was needed.
-    assert "_theta_t" not in vars(q)
+    # Neither table over all of W was needed: no product row was read
+    # outside W_c.
+    assert all(w in q.pos for row in q._rows for w in row)
     assert "_bar_table" not in vars(hecke(g))
 
 
@@ -101,7 +103,9 @@ def test_h4_products_on_wc_alone():
         assert q.t_mul(q.pos[x], q.pos[g.right[0][s]]) == {k: ONE}
     for ku, kw in ((5, 7), (7, 5), (12, 30), (q.rank - 1, 1)):
         assert q.star(q.t_mul(ku, kw)) == q.mul(q.star({kw: ONE}), q.star({ku: ONE}))
-    assert "_theta_t" not in vars(q)
+    # The products filled rows, and along W_c alone.
+    assert sum(map(len, q._rows)) > q.rank
+    assert all(w in q.pos for row in q._rows for w in row)
     assert "_bar_table" not in vars(hecke(g))
 
 
@@ -159,7 +163,7 @@ def test_dihedral_recursion(m):
         for w in q.wc:
             got = q.mul(bs, q.canonical_t(w))
             lw = g.lengths[w]
-            sw = g.left[w][s]
+            sw = g.mult(g.right[0][s], w)
             if g.lengths[sw] < lw:
                 want = q.scale(q.canonical_t(w), two)
             elif lw == 0:
@@ -167,10 +171,10 @@ def test_dihedral_recursion(m):
             elif lw == 1:
                 want = q.canonical_t(sw)
             elif lw <= m - 2:
-                drop = g.left[w][g.rwords[w][0]]
+                drop = g.mult(g.right[0][g.rwords[w][0]], w)
                 want = q.add(q.canonical_t(sw), q.canonical_t(drop))
             else:  # lw == m - 1: the longest element's image vanishes
-                drop = g.left[w][g.rwords[w][0]]
+                drop = g.mult(g.right[0][g.rwords[w][0]], w)
                 want = q.canonical_t(drop)
             assert got == want, (m, s, g.rwords[w])
 
