@@ -6,35 +6,34 @@ T_s T_w = T_{sw} when the length goes up and q T_{sw} + (q-1) T_w when
 it goes down.  The bar involution sends v to v^-1 and T_w to the
 inverse of T_{w^-1}; it is built incrementally along reduced words.
 
-The Kazhdan-Lusztig basis C'_w is built by the recursion of
-Kazhdan and Lusztig ("Representations of Coxeter groups and Hecke
-algebras", 1979): for w = us with us > u,
+The Kazhdan-Lusztig basis C'_w of H and the canonical basis c_w of its
+Temperley-Lieb quotient come from one recursion (Kazhdan and Lusztig,
+"Representations of Coxeter groups and Hecke algebras", 1979; Green
+and Losonczy, "Canonical bases for Hecke algebra quotients", 1999):
+for w = us with us > u,
 
-    C'_w = C'_u C'_s - sum of mu(z, u) C'_z over z < u with zs < z,
+    c_w = c_u C'_s - sum of mu(z) c_z over z with zs < z,
 
-where mu(z, u) is the top coefficient of P_{z,u}.  It runs along
-g.prefix in the unit coordinates e_y = v^{-l(y)} T_y, in which right
-multiplication by C'_s is one pass of :meth:`Hecke.mul_step` and
-mu(z, u) is the coefficient of v^-1 of C'_u at z.  Each C'_w is
-bar-invariant by construction and must have coefficient 1 at w and
-v^{l(y)-l(w)} P_{y,w} with P_{y,w}(0) = 1 in v^-1 Z[v^-1] elsewhere;
-a wrong mu or a wrong step breaks this and raises ArithmeticError, so
-no wrong "basis" comes out silently.  Both this table and the bar
-table fill on first read (:class:`PrefixTable`); C'_w never reads bar.
+in the unit coordinates e_y = v^{-l(y)} T_y (or t_y), along g.prefix,
+where mu(z) is the coefficient of v^-1 of c_u at z (in H, the top
+coefficient of P_{z,u}).  Right multiplication by C'_s is one pass of
+:meth:`Hecke.mul_step` in H and one pass of a table in the quotient;
+:func:`canonical_step` does the rest for both.  Each c_w is
+bar-invariant by construction, since C'_s is and the mu(z) are
+integers, and must be e_w plus terms in v^-1 Z[v^-1], which makes it
+the unique canonical element; a wrong mu, or a step that moves a
+constant term, breaks this and raises ArithmeticError.  A step that is
+wrong elsewhere can pass, so the tests also hold every c_w to bar and
+to :func:`ic_solve`.  In H the coefficient at y != w is
+v^{l(y)-l(w)} P_{y,w}, and the Hecke table also checks P_{y,w}(0) = 1.
+Both the bar table and the C'_w table fill on first read
+(:class:`PrefixTable`); C'_w never reads bar.
 
-The Temperley-Lieb quotient finds its canonical basis by inverting its
-bar table instead, with the engine below, so the check theta(C'_w) =
-c_w compares two independent computations.  The engine works over a
-basis b_y ordered by length, given by its bar table (bar_table[y] =
-bar(b_y) in the b-basis) and its lengths l(y): :func:`bar_apply`
-applies bar, :func:`canonical_solve` finds the canonical basis,
-:func:`from_unit` and :func:`canonical_coords` convert coordinates.  In
-the rescaled basis e_y = v^{-l(y)} b_y the bar involution is
-unitriangular, and the unique bar-invariant element congruent to e_y
-modulo strictly negative powers is found by back-substitution
-(:func:`ic_solve`).  The solver insists that every correction term K be
-bar-antisymmetric and aborts otherwise, so a wrong multiplication table
-cannot silently produce a "basis".
+:func:`ic_solve` finds the same basis the other way, by inverting a
+bar table by back-substitution.  No library path calls it: it is the
+oracle the tests hold the recursion to.  :func:`bar_apply` applies bar
+through a table, :func:`canonical_coords` and :func:`from_unit`
+convert coordinates.
 
 >>> h = hecke(coxeter_group("A", 2))
 >>> h.mul(h.t(1), h.t(1)) == {0: Laurent("v^2"), 1: Laurent("v^2 - 1")}
@@ -81,18 +80,46 @@ _CPRIME_S = ((None, V_INV), (None, V))
 _BAR_T_S = gen_step(_QINV, _QINV - ONE)
 
 
-def ic_solve(rows: list) -> list:
-    """Bar-invariant basis over a unit-triangular bar action.
+def canonical_step(table: PrefixTable, cu: dict, s: int, x: dict, w: int, basis) -> dict:
+    """c_w = x - sum of mu(z) c_z, for x = c_u C'_s and w = us.
 
-    The basis domain is 0..len(rows)-1, ordered so that bar only mixes
-    an element with strictly earlier ones; rows[y] is bar of unit
-    element y in unit coordinates (diagonal 1, every off-diagonal entry
-    on an earlier element).  For each w the solver returns the
-    coordinates p of the unique element c_w = sum_y p[y] e_y with
-    bar(c_w) = c_w, p[w] = 1, and all other p[y] in v^-1 Z[v^-1].
-    Raises ArithmeticError if a correction term is not
-    bar-antisymmetric, which would falsify unitriangularity.
+    All in unit coordinates: w is the coordinate of us, basis[z] the
+    group element of coordinate z, and table[basis[z]] is c_z, read on
+    demand.  mu(z) is the coefficient of v^-1 of c_u at each z with
+    zs < z.  Such a z gets v c_u[z] from its own drop, so the constant
+    term of x at z is mu(z) when the step is right, and one pass reads
+    every correction off c_u.  Off its diagonal c_z lies in v^-1 Z[v^-1],
+    so the integer mu(z) moves no other constant term.  Raises
+    ArithmeticError unless the result is e_w plus terms in v^-1 Z[v^-1],
+    which checks each mu(z) against the product: a step that moves a
+    constant term is refused, not absorbed.
     """
+    right, lengths = table.g.right, table.g.lengths
+    corrections = [(-mu, table[y]) for z, c in cu.items()
+                   if lengths[right[y := basis[z]][s]] < lengths[y] and (mu := c.coeff(-1))]
+    if corrections:
+        x = lincomb([(1, x), *corrections])
+    if x.get(w) != ONE or any(c.degree() >= 0 for z, c in x.items() if z != w):
+        raise ArithmeticError(
+            f"c_{table.g.word(basis[w])} is not a Kazhdan-Lusztig element: {x}")
+    return x
+
+
+def ic_solve(bar_table: list, lengths) -> list:
+    """The canonical basis by inverting a bar table: the oracle for the recursion.
+
+    bar_table[y] is bar(b_y) in the b-basis over 0..len(bar_table)-1,
+    ordered so that bar only mixes an element with strictly earlier
+    ones, and lengths[y] is l(y).  In unit coordinates e_y = v^{-l(y)} b_y,
+    bar(e_y) = sum_z v^{l(y)+l(z)} bar_table[y][z] e_z is unitriangular.
+    For each w the solver returns the coordinates p of the unique
+    c_w = sum_y p[y] e_y with bar(c_w) = c_w, p[w] = 1, and all other
+    p[y] in v^-1 Z[v^-1], by back-substitution.  Raises ArithmeticError
+    if a correction term is not bar-antisymmetric, which would falsify
+    unitriangularity.
+    """
+    rows = [{z: c.shift(ly + lengths[z]) for z, c in row.items()}
+            for row, ly in zip(bar_table, lengths)]
     table = []
     for w, row in enumerate(rows):
         p = {w: ONE}
@@ -129,35 +156,24 @@ def bar_apply(bar_table: list, x: dict) -> dict:
     )
 
 
-def canonical_solve(bar_table: list, lengths) -> list:
-    """The canonical basis in unit coordinates, one dict per element.
-
-    bar(e_y) = sum_z v^{l(y)+l(z)} bar_table[y][z] e_z, so the table is
-    rescaled to unit coordinates and handed to :func:`ic_solve`.
-    """
-    return ic_solve([
-        {z: c.shift(ly + lengths[z]) for z, c in row.items()}
-        for row, ly in zip(bar_table, lengths)
-    ])
-
-
-def canonical_coords(x: dict, lengths, canonical: list) -> dict:
+def canonical_coords(x: dict, lengths, table, basis) -> dict:
     """Coordinates of x (in the b-basis) in the canonical basis.
 
-    Triangular back-substitution from the longest element down, with
-    canonical as returned by :func:`canonical_solve`.
+    Triangular back-substitution from the longest element down;
+    table[basis[y]] is c_y in unit coordinates, read only for the y
+    that x needs.
     """
     unit: dict = {}
     for y, c in x.items():
         addmul(unit, y, c, Laurent.v_power(lengths[y]))
     out: dict = {}
-    for y in range(len(canonical) - 1, -1, -1):
+    for y in range(len(basis) - 1, -1, -1):
         c = take(unit, y)
         if not c:
             continue
         out[y] = c
         neg = -c
-        for z, d in canonical[y].items():
+        for z, d in table[basis[y]].items():
             if z != y:
                 addmul(unit, z, neg, d)
     return out
@@ -232,25 +248,19 @@ class Hecke:
 
     @cached_property
     def _canonical_table(self) -> PrefixTable:
-        """C'_w = C'_u C'_s - sum of mu(z, u) C'_z over zs < z, for w = us.
+        """C'_w = C'_u C'_s - sum of mu(z) C'_z for w = us (module docstring).
 
-        In unit coordinates, along g.prefix (module docstring).  A result
-        off e_w + v^-1 Z[v^-1], or with some P_{y,w}(0) != 1, raises
-        ArithmeticError: a wrong mu breaks the degree bound, a wrong
-        sign in the step the constant term.
+        On top of :func:`canonical_step`, every P_{y,w}(0) must be 1, or
+        the step raises ArithmeticError: a negated v^-1 in the step
+        makes P_{u,w}(0) = -1.
         """
         g = self.g
-        lengths, right = g.lengths, g.right
+        lengths, right, basis = g.lengths, g.right, range(g.order)
         def step(cu, u, s):
-            x = self.mul_step(cu, s, _CPRIME_S)
-            mus = [(-mu, table[z]) for z, c in cu.items()
-                   if lengths[right[z][s]] < lengths[z] and (mu := c.coeff(-1))]
-            if mus:
-                x = lincomb([(1, x), *mus])
             w = right[u][s]
+            x = canonical_step(table, cu, s, self.mul_step(cu, s, _CPRIME_S), w, basis)
             lw = lengths[w]
-            if x.get(w) != ONE or any(c.degree() >= 0 or c.coeff(lengths[y] - lw) != 1
-                                      for y, c in x.items() if y != w):
+            if any(c.coeff(lengths[y] - lw) != 1 for y, c in x.items() if y != w):
                 raise ArithmeticError(f"C'_{g.word(w)} is not a Kazhdan-Lusztig element: {x}")
             return x
         table = PrefixTable(g, self.one(), step)
@@ -272,8 +282,7 @@ class Hecke:
 
     def to_cprime(self, x: dict) -> dict:
         """Coordinates of x in the C'-basis (triangular substitution)."""
-        table = self._canonical_table
-        return canonical_coords(x, self.g.lengths, [table[w] for w in range(self.g.order)])
+        return canonical_coords(x, self.g.lengths, self._canonical_table, range(self.g.order))
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:
         """The polynomial P_{y,w} in q = v^2 (zero when y is not below w)."""

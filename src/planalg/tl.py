@@ -30,16 +30,42 @@ the build.
 Elements are sparse dicts over positions in W_c, in the t-basis.  Bar
 descends from H (each generator of J is v^m times the bar-invariant
 C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
-(q^-1 T_s + q^-1 - 1); the canonical basis c_w is found by inverting
-this bar table (:func:`canonical_solve`), independently of the C'_s
-recursion that gives the Kazhdan-Lusztig basis of H.  Products fold
-the action table too, one row per basis element: row k holds
-t_y T_us = (t_y T_u) T_s (y = wc[k]), filled along g.prefix on first
-read (:class:`PrefixTable`).  The product t_u t_w is row u read at w
-in W_c (:meth:`TL.t_mul`), and the projection theta(T_w) = t_1 T_w is
-row 0 read at any w in W (:meth:`TL.theta`), so the cross-check
-theta(C'_w) = c_w touches only the lower Bruhat ideal of W_c, where
-C'_w lives.
+(q^-1 T_s + q^-1 - 1) (:meth:`TL.bar`).  Products fold the action
+table too, one row per basis element: row k holds t_y T_us = (t_y
+T_u) T_s (y = wc[k]), filled along g.prefix on first read
+(:class:`PrefixTable`).  The product t_u t_w is row u read at w in W_c
+(:meth:`TL.t_mul`), and the projection theta(T_w) = t_1 T_w is row 0
+read at any w in W (:meth:`TL.theta`), so the cross-check theta(C'_w)
+= c_w touches only the lower Bruhat ideal of W_c, where C'_w lives.
+
+The canonical basis c_w, the bar-invariant element that is e_w =
+v^{-l(w)} t_w plus terms in v^-1 Z[v^-1], comes from the recursion that
+gives the Kazhdan-Lusztig basis of H (Green and Losonczy, "Canonical
+bases for Hecke algebra quotients", 1999): c_us = c_u b_s - sum of
+mu(z) c_z along g.prefix, mu(z) the coefficient of v^-1 of c_u at z
+with zs < z (:func:`planalg.hecke.canonical_step`).  Right
+multiplication by b_s = v^-1 (t_s + t_1), the image of C'_s, is a
+table in unit coordinates read off the certified act, e_y b_s =
+v^{-l(y)-1} (t_y T_s + t_y) (:attr:`TL._b_act`).
+
+Why the result is c_us: C'_s is bar-invariant and bar descends to H/J,
+so b_s is bar-invariant in the quotient, whose action
+:meth:`TL._certify` proves to be that of H.  By induction c_u b_s is
+bar-invariant, and so is c_us, since the mu(z) are integers.  The step
+checks that c_us is e_us plus terms in v^-1 Z[v^-1]; two bar-invariant
+elements of that shape differ by a bar-invariant element with every
+coefficient in v^-1 Z[v^-1], which is 0 because bar is unitriangular.
+So a step that returns gives the unique canonical element, whatever
+integers it subtracted.  It returns because the constant term of c_u
+b_s at z is mu(z), as in H: a complex ys adds theta(e_ys), and theta(C'_x)
+= 0 for complex x puts theta(e_x) in v^-1 times the Z[v^-1]-span of the
+e_z.  A wrong correction raises ArithmeticError.
+
+The recursion reads neither the bar table nor the Hecke algebra, so
+theta(C'_w) = c_w compares recursions over two different algebras,
+and :func:`planalg.hecke.ic_solve` over the bar table is a test oracle
+only.  W_c is closed under prefixes and every c_z a step corrects by
+is in W_c, so the canonical table holds W_c alone.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -55,7 +81,7 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
-    _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_solve, from_unit,
+    _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_step, from_unit,
     hecke,
 )
 from .laurent import Laurent, ONE, V_INV, lincomb
@@ -218,12 +244,28 @@ class TL:
     # -- canonical basis ----------------------------------------------------------
 
     @cached_property
-    def _canonical_table(self) -> list:
-        return canonical_solve(self._bar_table, self.lengths)
+    def _b_act(self) -> list:
+        """e_y b_s in unit coordinates e_y = v^{-l(y)} t_y, at [k][s] for y = wc[k].
+
+        e_y b_s = v^{-l(y)-1} (t_y T_s + t_y): act[k][s] rescaled plus v^-1 e_y.
+        """
+        lengths = self.lengths
+        return [[lincomb(((V_INV, {k: ONE}), (1, {z: c.shift(lengths[z] - lengths[k] - 1)
+                                                    for z, c in row.items()})))
+                 for row in rows] for k, rows in enumerate(self._act)]
+
+    @cached_property
+    def _canonical_table(self) -> PrefixTable:
+        """c_us = c_u b_s - sum of a_z c_z along g.prefix (module docstring)."""
+        g, b_act, pos, wc = self.g, self._b_act, self.pos, self.wc
+        table = PrefixTable(g, self.one(), lambda cu, u, s: canonical_step(
+            table, cu, s, lincomb((c, b_act[k][s]) for k, c in cu.items()),
+            pos[g.right[u][s]], wc))
+        return table
 
     def canonical_unit(self, w: int) -> dict:
         """c_w in the rescaled basis v^{-l(y)} t_y, keyed by position."""
-        return self._canonical_table[self.pos[w]]
+        return self._canonical_table[w]
 
     def canonical_t(self, w: int) -> dict:
         """c_w in the t-basis, keyed by position.
@@ -236,7 +278,7 @@ class TL:
 
     def to_canonical(self, x: dict) -> dict:
         """Coordinates of x in the canonical basis, keyed by position."""
-        return canonical_coords(x, self.lengths, self._canonical_table)
+        return canonical_coords(x, self.lengths, self._canonical_table, self.wc)
 
     def cross_check_canonical(self) -> bool:
         """theta(C'_w) equals c_w for every fully commutative w."""

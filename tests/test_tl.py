@@ -6,8 +6,8 @@ import random
 import pytest
 
 from planalg.coxeter import coxeter_group, wc_classify
-from planalg.hecke import Hecke, hecke
-from planalg.laurent import DELTA, Laurent, ONE, V_INV
+from planalg.hecke import Hecke, hecke, ic_solve
+from planalg.laurent import DELTA, Laurent, ONE, V_INV, lincomb
 from planalg.tl import tl
 
 # The module itself: the package re-exports the function ``tl`` under
@@ -18,6 +18,12 @@ ALL_TYPES = [("A", 1, 0), ("A", 2, 0), ("A", 3, 0), ("A", 4, 0),
              ("B", 2, 0), ("B", 3, 0), ("H", 3, 0)] + [
     ("I", 2, m) for m in range(3, 9)
 ]
+
+#: Every group that coxeter_group accepts.
+ACCEPTED_TYPES = ALL_TYPES + [("H", 4, 0)] + [("I", 2, m) for m in range(9, 13)]
+
+#: The groups whose corrupted builds must fail.
+CORRUPTED_TYPES = [("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5)]
 
 WC_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "A4": 42, "B2": 7, "B3": 24,
              "H3": 44, "I2(3)": 5, "I2(4)": 7, "I2(5)": 9, "I2(6)": 11,
@@ -74,9 +80,15 @@ def test_action_table_matches_hecke(family, rank, m):
 
 
 def test_h4_canonical_basis_on_wc_alone():
+    # A fresh quotient, so no other test has read its bar table: the
+    # canonical basis reads none, and its table holds W_c alone.
     g = coxeter_group("H", 4)
-    q = tl(g)
+    q = TL_MODULE.TL(g)
     assert q.rank == 195
+    for w in q.wc:
+        q.canonical_t(w)
+    assert "_bar_table" not in vars(q)
+    assert len(q._canonical_table) == 195
     for k, w in enumerate(q.wc):
         cw, unit = q.canonical_t(w), q.canonical_unit(w)
         assert q.bar(cw) == cw
@@ -87,6 +99,68 @@ def test_h4_canonical_basis_on_wc_alone():
     # outside W_c.
     assert all(w in q.pos for row in q._rows for w in row)
     assert "_bar_table" not in vars(hecke(g))
+
+
+@pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
+def test_recursion_matches_bar_table_inversion(family, rank, m):
+    """c_us = c_u b_s - sum of a_z c_z against ic_solve over the bar table."""
+    g = coxeter_group(family, rank, m)
+    q = TL_MODULE.TL(g)
+    for w in q.wc:
+        q.canonical_t(w)
+    assert "_bar_table" not in vars(q)
+    assert len(q._canonical_table) == q.rank
+    assert [q.canonical_unit(w) for w in q.wc] == ic_solve(q._bar_table, q.lengths)
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_type_a_canonical_basis_is_monomial(rank):
+    """In type A the recursion makes no correction: c_w = b_{s1} ... b_{sk}.
+
+    So a dropped or doubled correction changes nothing there (Fan and
+    Green, "Monomials and Temperley-Lieb algebras", 1997), and the test
+    below corrupts corrections in the other types only.
+    """
+    q = tl(coxeter_group("A", rank))
+    for w in q.wc:
+        x = q.one()
+        for s in q.g.rwords[w]:
+            x = q.mul(x, q.b(s))
+        assert x == q.canonical_t(w)
+
+
+@pytest.mark.parametrize("mutation", ["correction dropped", "correction doubled"])
+@pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES[1:])
+def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
+    # The correction mu(z) is read as the coefficient of v^-1 of c_u at
+    # z, and nothing else in the recursion asks for that coefficient.
+    g = coxeter_group(family, rank, m)
+    q = TL_MODULE.TL(g)
+    factor = 0 if mutation == "correction dropped" else 2
+    coeff = Laurent.coeff
+    monkeypatch.setattr(Laurent, "coeff", lambda self, k: (
+        factor * coeff(self, k) if k == -1 else coeff(self, k)))
+    with pytest.raises(ArithmeticError, match="Kazhdan-Lusztig"):
+        for w in q.wc:
+            q.canonical_unit(w)
+
+
+@pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES)
+def test_negated_b_s_term_fails_the_oracle_and_bar(family, rank, m):
+    """Negating the v^-1 e_y term of every e_y b_s in the unit table.
+
+    The step does not refuse it: the results still have the degree
+    shape of a canonical basis.  The bar table, built apart from the
+    recursion, shows they are wrong.
+    """
+    g = coxeter_group(family, rank, m)
+    q = TL_MODULE.TL(g)
+    for k, rows in enumerate(q._b_act):
+        for s, row in enumerate(rows):
+            rows[s] = lincomb(((1, row), (-2, {k: V_INV})))
+    table = [q.canonical_unit(w) for w in q.wc]
+    assert table != ic_solve(q._bar_table, q.lengths)
+    assert any(q.bar(q.canonical_t(w)) != q.canonical_t(w) for w in q.wc)
 
 
 def test_h4_products_on_wc_alone():
