@@ -256,7 +256,7 @@ class TL:
 
     @cached_property
     def _canonical_table(self) -> PrefixTable:
-        """c_us = c_u b_s - sum of a_z c_z along g.prefix (module docstring)."""
+        """c_us = c_u b_s - sum of mu(z) c_z along g.prefix (module docstring)."""
         g, b_act, pos, wc = self.g, self._b_act, self.pos, self.wc
         table = PrefixTable(g, self.one(), lambda cu, u, s: canonical_step(
             table, cu, s, lincomb((c, b_act[k][s]) for k, c in cu.items()),

@@ -103,7 +103,7 @@ def test_h4_canonical_basis_on_wc_alone():
 
 @pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
 def test_recursion_matches_bar_table_inversion(family, rank, m):
-    """c_us = c_u b_s - sum of a_z c_z against ic_solve over the bar table."""
+    """c_us = c_u b_s - sum of mu(z) c_z against ic_solve over the bar table."""
     g = coxeter_group(family, rank, m)
     q = TL_MODULE.TL(g)
     for w in q.wc:
@@ -130,7 +130,7 @@ def test_type_a_canonical_basis_is_monomial(rank):
 
 
 @pytest.mark.parametrize("mutation", ["correction dropped", "correction doubled"])
-@pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES[1:])
+@pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES[1:])  # not A3, see above
 def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
     # The correction mu(z) is read as the coefficient of v^-1 of c_u at
     # z, and nothing else in the recursion asks for that coefficient.
