@@ -14,8 +14,8 @@ algebra's anti-involution).
 This module is purely combinatorial: enumeration, edge classification,
 stacking two matchings into paths and closed loops and closing one
 matching into loops (both on one strand walker), and splitting or
-joining diagrams along a horizontal cut.  The algebra (fusing labels,
-loop scalars) lives in :mod:`planalg.planar`.
+joining diagrams along a horizontal cut.  The algebra (fusing the label
+word of each walked strand, loop scalars) lives in :mod:`planalg.planar`.
 
 >>> len(matchings(3))
 5
@@ -431,10 +431,11 @@ def stack_matchings(m_top: tuple, m_bot: tuple) -> Stacked:
 def closure_loops(matching: tuple) -> tuple:
     """Loop decomposition of a diagram closed by arcs i -- 2n+1-i.
 
-    Each loop is a tuple of segments (0, strand position, against) in the
-    form :func:`planalg.planar.fuse` reads, the position being the
-    strand's place in the sorted matching; loops start from the smallest
-    point whose strand is not yet visited.
+    Each loop is a tuple of segments (0, strand position, against), the
+    position being the strand's place in the sorted matching;
+    :func:`planalg.planar.fuse` reads them, in order, as the loop's label
+    word.  Loops start from the smallest point whose strand is not yet
+    visited.
 
     >>> closure_loops(identity_matching(2))
     (((0, 0, True),), ((0, 1, False),))

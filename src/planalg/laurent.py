@@ -356,8 +356,15 @@ def vneg_congruent(a, b) -> bool:
     >>> vneg_congruent(V, 0)
     False
     """
-    d = (_coerce(a) - _coerce(b)).degree()
-    return d is None or d < 0
+    a, b = _coerce(a), _coerce(b)
+    if a is NotImplemented or b is NotImplemented:
+        raise TypeError("vneg_congruent compares Laurent polynomials or integers")
+    # Both coefficient dicts are clean, so the nonnegative parts agree
+    # exactly when a - b has no exponent >= 0; no difference is formed.
+    return (
+        {e: x for e, x in a._c.items() if e >= 0}
+        == {e: x for e, x in b._c.items() if e >= 0}
+    )
 
 
 # -- the accumulation kernel ----------------------------------------------------

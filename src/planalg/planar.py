@@ -19,6 +19,14 @@ segments that name each strand by its position in its own diagram's
 sorted matching, which is also the position of its label, so labels
 are read straight from the decoded label tuples.
 
+A cold product is made of table lookups.  Each context keeps four
+tables, each filled on first read: products, traces, decoded positions
+and words.  A strand's *word* is the tuple of labels read along it
+(through the anti-involution where the walk runs against the strand),
+and its fused element depends on the word alone, so each word is fused
+once per context (:func:`fuse`).  Words keep their order: label
+algebras need not be commutative.
+
 Also here: the star anti-involution (vertical flip + label involution,
 bar on coefficients), the closure traces tr and tau = v^-n tr, the
 fusion twist (left-corner strands get multiplied by the group-like top
@@ -69,6 +77,8 @@ class Context:
         self._basis = None
         self._prod: dict = {}
         self._trace: dict = {}
+        self._words: dict = {}
+        self._decoded: dict = {}
 
     def __repr__(self):
         return f"<Context n={self.n} labels={'/'.join(self.alg.labels)}>"
@@ -119,12 +129,16 @@ class Context:
         return LabeledDiagram(*self._decode(k))
 
     def _decode(self, k: int) -> tuple:
-        rank, labels = self.alg.rank, [0] * self.n
-        for s in range(self.n - 1, -1, -1):
-            k, labels[s] = divmod(k, rank)
-        if not 0 <= k < len(self._matching_pos):
-            raise IndexError(f"basis position out of range in {self!r}")
-        return matchings(self.n)[k], tuple(labels)
+        """(matching, labels) at position k, kept in the decode table."""
+        hit = self._decoded.get(k)
+        if hit is None:
+            rank, labels, q = self.alg.rank, [0] * self.n, k
+            for s in range(self.n - 1, -1, -1):
+                q, labels[s] = divmod(q, rank)
+            if not 0 <= q < len(self._matching_pos):
+                raise IndexError(f"basis position out of range in {self!r}")
+            hit = self._decoded[k] = (matchings(self.n)[q], tuple(labels))
+        return hit
 
     def star_position(self, k: int) -> int:
         """Position of the star of the basis diagram at position k: the
@@ -181,24 +195,35 @@ class Context:
         return Element._raw(self, collect(rows))
 
 
-def fuse(alg: TableAlgebra, segments, top: tuple, bottom: tuple) -> dict:
-    """Fused label element of a walked strand or loop.
+def fuse(ctx: Context, segments, top: tuple, bottom: tuple) -> tuple:
+    """Fused label element of a walked strand or loop, as (label, coeff)
+    pairs sorted by label.
 
     Each segment (layer, position, against) names a strand by its
     position in its own layer's sorted matching, so its stored label is
     ``top[position]`` for layer 0 and ``bottom[position]`` for layer 1.
     Walking the segments in order, each label is read through the
     anti-involution when the strand is traversed against its canonical
-    direction, and accumulated on the left (the walk's later segments
-    multiply on the left, which is how stacked boxes compose).
+    direction; these reads form the strand's *word*.  The word is fused
+    by accumulating on the left (the walk's later segments multiply on
+    the left, which is how stacked boxes compose), once per context:
+    the word table ``ctx._words`` keeps every fused word.  The key is
+    the word in walking order, never a sorted one, because label
+    algebras need not be commutative.
     """
-    acc = {alg.identity: 1}
-    for layer, k, against in segments:
-        l = (bottom if layer else top)[k]
-        if against:
-            l = alg.inv[l]
-        acc = alg.mul({l: 1}, acc)
-    return acc
+    layers, inv = (top, bottom), ctx.alg.inv
+    word = tuple([
+        inv[layers[layer][k]] if against else layers[layer][k]
+        for layer, k, against in segments
+    ])
+    hit = ctx._words.get(word)
+    if hit is None:
+        alg = ctx.alg
+        acc = {alg.identity: 1}
+        for l in word:
+            acc = alg.mul({l: 1}, acc)
+        hit = ctx._words[word] = tuple(sorted(acc.items()))
+    return hit
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +232,11 @@ def _delta_power(k: int) -> Laurent:
     return DELTA**k
 
 
-def _loop_trace(alg: TableAlgebra, loops, top: tuple, bottom: tuple) -> int:
+def _loop_trace(ctx: Context, loops, top: tuple, bottom: tuple) -> int:
     """Product over the loops of t(fused loop label); 0 once one vanishes."""
-    t = 1
+    t, identity = 1, ctx.alg.identity
     for loop in loops:
-        t *= fuse(alg, loop, top, bottom).get(alg.identity, 0)
+        t *= dict(fuse(ctx, loop, top, bottom)).get(identity, 0)
         if not t:
             break
     return t
@@ -228,26 +253,25 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     hit = ctx._prod.get(key)
     if hit is not None:
         return hit
-    alg, n, rank = ctx.alg, ctx.n, ctx.alg.rank
     (m_top, l_top), (m_bot, l_bot) = ctx._decode(i), ctx._decode(j)
     stacked = stack_matchings(m_top, m_bot)
-    loop_t = _loop_trace(alg, stacked.loops, l_top, l_bot)
-    rows: dict = {}
+    loop_t = _loop_trace(ctx, stacked.loops, l_top, l_bot)
+    out: dict = {}
     if loop_t:
-        scalar = _delta_power(len(stacked.loops))
-        base = ctx._matching_pos[stacked.matching] * rank**n
-        places = [rank ** (n - 1 - s) for s in range(n)]
-        strand_steps = [
-            sorted((l * w, c) for l, c in fuse(alg, segs, l_top, l_bot).items())
-            for w, segs in zip(places, stacked.paths)
-        ]
-        for choice in itertools.product(*strand_steps):
-            coeff, k = loop_t, base
-            for step, c in choice:
+        scalar = _delta_power(len(stacked.loops))._c
+        pos, rank = ctx._matching_pos[stacked.matching], ctx.alg.rank
+        strands = [fuse(ctx, segs, l_top, l_bot) for segs in stacked.paths]
+        # One term per choice of a label on each strand: each strand's
+        # labels are distinct and k is the base-rank numeral of the
+        # matching position and the chosen labels, so distinct choices
+        # give distinct k; and every coeff is a product of nonzero
+        # integers, so each term is the clean Laurent scalar * coeff.
+        for choice in itertools.product(*strands):
+            k, coeff = pos, loop_t
+            for l, c in choice:
+                k = k * rank + l
                 coeff *= c
-                k += step
-            addmul(rows, k, scalar, coeff)
-    out = collect(rows)
+            out[k] = Laurent._raw({e: x * coeff for e, x in scalar.items()})
     ctx._prod[key] = out
     return out
 
@@ -259,7 +283,7 @@ def trace_of_diagram(ctx: Context, k: int) -> Laurent:
         return hit
     matching, labels = ctx._decode(k)
     loops = closure_loops(matching)
-    t = _loop_trace(ctx.alg, loops, labels, labels)
+    t = _loop_trace(ctx, loops, labels, labels)
     total = _delta_power(len(loops)) * t if t else ZERO
     ctx._trace[k] = total
     return total

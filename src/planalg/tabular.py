@@ -293,13 +293,13 @@ class TabularDatum:
                     acc[(s, t, b)] = decomp
         for s in self.m_sets[lam]:
             ref = acc[(s, self.m_sets[lam][0], ident)]
+            wants = []  # (b, the reference expansion for b), shared by every T
+            for bidx in range(gam.rank):
+                want = {sz: gam.mul(r, {bidx: 1}) for sz, r in ref.items()}
+                want = {sz: r for sz, r in want.items() if r}
+                wants.append((index_tuple(alg, bidx, lam), want))
             for t in self.m_sets[lam]:
-                for bidx in range(gam.rank):
-                    b = index_tuple(alg, bidx, lam)
-                    want = {
-                        sz: gam.mul(r, {bidx: 1}) for sz, r in ref.items()
-                    }
-                    want = {sz: r for sz, r in want.items() if r}
+                for b, want in wants:
                     if acc[(s, t, b)] != want:
                         witnesses.append(("A3", "r_a depends on T or g", ia, s, t, b))
                         return False

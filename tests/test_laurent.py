@@ -97,6 +97,26 @@ def test_vneg_congruence():
     assert not vneg_congruent(ONE + V, 1)
 
 
+negative_parts = st.dictionaries(
+    st.integers(-6, -1), st.integers(-9, 9), max_size=3
+).map(Laurent)
+
+
+@given(laurents, negative_parts, st.one_of(laurents, st.integers(-3, 3)),
+       st.booleans())
+def test_vneg_congruence_reads_the_degree_of_the_difference(a, neg, other, near):
+    b = a + neg if near else other
+    d = (a - b).degree()
+    assert vneg_congruent(a, b) == (d is None or d < 0)
+    assert vneg_congruent(b, a) == vneg_congruent(a, b)
+
+
+@pytest.mark.parametrize("a,b", [(1.5, 1), (ONE, 0.5), ("v", V), (None, 0)])
+def test_vneg_congruence_refuses_non_integer_input(a, b):
+    with pytest.raises(TypeError):
+        vneg_congruent(a, b)
+
+
 @given(laurents)
 def test_negative_part_splits(x):
     assert x.negative_part() + x.nonnegative_part() == x

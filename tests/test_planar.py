@@ -7,7 +7,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planalg.diagram import LabeledDiagram, edge_kinds, matchings, star_diagram
+from planalg.diagram import (
+    LabeledDiagram,
+    closure_loops,
+    edge_kinds,
+    matchings,
+    stack_matchings,
+    star_diagram,
+)
 from planalg.laurent import DELTA, Laurent, ONE, V_INV
 from planalg.planar import (
     Context,
@@ -302,3 +309,77 @@ def test_products_are_associative_and_star_reverses_them(n):
         assert (x * y).star() == y.star() * x.star()
 
     check()
+
+
+# -- the word table against a plain fold of the label products ------------------
+
+
+def _fold(alg, segments, top, bottom):
+    """The fused label of a walk, one ``TableAlgebra.mul`` per segment."""
+    acc = {alg.identity: 1}
+    for layer, k, against in segments:
+        l = (bottom if layer else top)[k]
+        acc = alg.mul({alg.inv[l] if against else l: 1}, acc)
+    return acc
+
+
+def _loop_scalar(alg, loops, top, bottom):
+    t = 1
+    for loop in loops:
+        t *= _fold(alg, loop, top, bottom).get(alg.identity, 0)
+    return DELTA ** len(loops) * t
+
+
+def _folded_product(ctx, a, b):
+    alg = ctx.alg
+    stacked = stack_matchings(a.matching, b.matching)
+    scalar = _loop_scalar(alg, stacked.loops, a.labels, b.labels)
+    strands = [_fold(alg, segs, a.labels, b.labels).items() for segs in stacked.paths]
+    out = {}
+    for choice in itertools.product(*strands):
+        coeff = scalar
+        for _, c in choice:
+            coeff = coeff * c
+        d = LabeledDiagram(stacked.matching, tuple(l for l, _ in choice))
+        k = ctx.index(d)
+        out[k] = out.get(k, 0) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def _check_against_the_fold(ctx, pairs):
+    basis = ctx.basis()
+    for i, j in pairs:
+        assert diagram_product(ctx, i, j) == _folded_product(ctx, basis[i], basis[j])
+    for k, d in enumerate(basis):
+        want = _loop_scalar(ctx.alg, closure_loops(d.matching), d.labels, d.labels)
+        assert trace_of_diagram(ctx, k) == want
+
+
+@pytest.mark.parametrize("n,alg", [
+    (2, permutation_group_algebra(3)), (3, make_verlinde(3)), (2, make_verlinde(4)),
+], ids=["P(2,S3)", "P(3,3)", "P(2,4)"])
+def test_every_product_and_trace_is_the_fold_of_its_words(n, alg):
+    ctx = Context(n, alg)
+    size = len(ctx.basis())
+    _check_against_the_fold(ctx, itertools.product(range(size), repeat=2))
+    assert ctx._words and ctx._prod
+
+
+def test_sampled_products_on_p3_s3_are_the_fold_of_their_words():
+    ctx = Context(3, permutation_group_algebra(3))
+    rng = random.Random(17)
+    size = len(ctx.basis())
+    _check_against_the_fold(
+        ctx, [(rng.randrange(size), rng.randrange(size)) for _ in range(3000)]
+    )
+
+
+def test_decode_out_of_range_raises_and_stores_nothing():
+    ctx = Context(2, make_verlinde(3))
+    for k in (-1, len(ctx.basis()), 10**6):
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                ctx._decode(k)
+    assert ctx._decoded == {}
+    assert ctx._decode(5) is ctx._decode(5)
+    assert ctx._decoded.keys() == {5}
