@@ -66,7 +66,8 @@ from .verlinde import w_multiply
 
 
 class Context:
-    """A diagram algebra P(n, alg): basis numbering, product and trace caches."""
+    """A diagram algebra P(n, alg): basis numbering and the product,
+    trace, decode and word tables."""
 
     def __init__(self, n: int, alg: TableAlgebra):
         if n < 1:
