@@ -7,6 +7,7 @@ verification report comes back negative, and 2 on usage errors
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,11 +21,33 @@ from .tl import tl
 from .verlinde import make_verlinde
 
 
+#: Largest --n a context command accepts: a context numbers all
+#: Catalan(n) matchings when it is made.
+MAX_N = 12
+#: Most basis diagrams that basis, dbasis, axioms and drank enumerate.
+MAX_DIAGRAMS = 100_000
+
+
 class UsageError(Exception):
     """Bad flags or unparseable input; reported on stderr with status 2."""
 
 
-def _context(args) -> Context:
+def _basis_size(n: int, rank: int) -> int:
+    """Catalan(n) * rank^n, the basis size of P(n, rank), by closed form."""
+    return math.comb(2 * n, n) // (n + 1) * rank**n
+
+
+def _refuse_large(flag: str, n: int, rank: int, command: str) -> None:
+    size = _basis_size(n, rank)
+    if size > MAX_DIAGRAMS:
+        raise UsageError(f"{flag} {n}: P({n}, {rank}) has {size:,} basis diagrams; "
+                         f"{command} enumerates at most {MAX_DIAGRAMS:,}")
+
+
+def _context(args, enumerates: bool = False) -> Context:
+    """The context named by the flags; refused before it is made when n
+    exceeds MAX_N, or when ``enumerates`` and the basis exceeds
+    MAX_DIAGRAMS."""
     if args.algebra:
         try:
             with open(args.algebra, encoding="ascii") as fh:
@@ -43,6 +66,10 @@ def _context(args) -> Context:
         raise UsageError("a context needs --verlinde <r> or --algebra <file>")
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if args.n > MAX_N:
+        raise UsageError(f"--n {args.n}: context commands support n up to {MAX_N}")
+    if enumerates:
+        _refuse_large("--n", args.n, alg.rank, args.command)
     return Context(args.n, alg)
 
 
@@ -95,7 +122,7 @@ def cmd_verlinde(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, enumerates=True)
     items = ctx.d_basis() if args.exposed else ctx.basis()
     if args.machine:
         print(f"size={len(items)}")
@@ -146,7 +173,8 @@ def _emit(report, machine: bool) -> int:
 
 
 def cmd_axioms(args) -> int:
-    return _emit(datum_build(_context(args)).axioms_check(), args.machine)
+    return _emit(datum_build(_context(args, enumerates=True)).axioms_check(),
+                 args.machine)
 
 
 def cmd_tlbasis(args) -> int:
@@ -193,6 +221,7 @@ def cmd_conjecture(args) -> int:
 def cmd_drank(args) -> int:
     if args.r < 1 or args.nmax < 1:
         raise UsageError("drank needs --r >= 1 and --nmax >= 1")
+    _refuse_large("--nmax", args.nmax, args.r, "drank")
     seq = drank_sequence(args.r, args.nmax)
     if args.machine:
         for n, value in enumerate(seq, start=1):

@@ -5,7 +5,8 @@ edges.  Each basis element is assembled as C(S, b, T) from a labeled
 top half S, a labeled bottom half T (mirrored with involuted labels),
 and a lambda-fold tensor label b on the propagating strands.  The datum
 records, per lambda, the tensor-power label algebra and the finite set
-M(lambda) of labeled half-diagrams, together with the bijection C.
+M(lambda) of labeled half-diagrams, together with the bijection C,
+which it keeps and checks in integer cell coordinates.
 
 ``TabularDatum.axioms_check`` runs the five defining conditions of a
 tabular algebra with trace, each executably and with witnesses on
@@ -46,10 +47,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .diagram import HalfDiagram, half_arcs, half_join, half_split, star_diagram
+from .diagram import HalfDiagram, half_arcs, half_join
 from .laurent import Laurent, ONE, ZERO, dot, vneg_congruent
 from .planar import Context, Element, diagram_product, trace_of_diagram
-from .table_algebra import TableAlgebra, index_tuple, tensor_power, tuple_index
+from .table_algebra import index_tuple, tensor_power
 
 #: Largest basis checked exhaustively; larger ones use SAMPLES seeded pairs.
 EXHAUSTIVE_CAP = 200
@@ -95,28 +96,46 @@ class AxiomReport:
 
 
 class TabularDatum:
-    """The decomposition datum (Lambda, Gamma, M, C, *) for a context."""
+    """The decomposition datum (Lambda, Gamma, M, C, *) for a context.
+
+    ``cells[k] = (lam, s, b, t)``, with s and t indexing ``m_sets[lam]``
+    and b a basis index of ``gammas[lam]``, and its inverse ``cell_pos``
+    are C by integers; half-diagrams appear only in :meth:`c`,
+    :meth:`split` and witnesses.
+    """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         n, alg = ctx.n, ctx.alg
         self.lambdas = tuple(range(n % 2, n + 1, 2))
         self.gammas = {lam: tensor_power(alg, lam) for lam in self.lambdas}
-        self.m_sets = {}
-        for lam in self.lambdas:
-            members = []
-            for arcs in half_arcs(n, lam):
-                for labels in itertools.product(
-                    range(alg.rank), repeat=len(arcs)
-                ):
-                    members.append(HalfDiagram(n, arcs, labels))
-            self.m_sets[lam] = tuple(members)
+        self.m_sets = {
+            lam: tuple(
+                HalfDiagram(n, arcs, labels)
+                for arcs in half_arcs(n, lam)
+                for labels in itertools.product(range(alg.rank), repeat=len(arcs))
+            )
+            for lam in self.lambdas
+        }
         self.basis = ctx.basis()
         self.index = {d: k for k, d in enumerate(self.basis)}
-        self.splits = [half_split(d, alg.inv) for d in self.basis]
-        self.trip_index = {t: k for k, t in enumerate(self.splits)}
-        self.a_vals = [(n - len(b)) // 2 for (_, b, _) in self.splits]
-        self._verify_bijection()
+        self.cells = [None] * len(self.basis)
+        self.cell_pos = {}
+        for lam in self.lambdas:
+            halves = self.m_sets[lam]
+            for s, hs in enumerate(halves):
+                for b in range(self.gammas[lam].rank):
+                    word = index_tuple(alg, b, lam)
+                    for t, ht in enumerate(halves):
+                        d = self.c(hs, word, ht)
+                        k = ctx.index(d)
+                        if self.cells[k] is not None:
+                            raise AssertionError(f"C not injective at {d}")
+                        self.cells[k] = (lam, s, b, t)
+                        self.cell_pos[(lam, s, b, t)] = k
+        if None in self.cells:
+            raise AssertionError("image of C is not the diagram basis")
+        self.a_vals = [(n - lam) // 2 for lam, _, _, _ in self.cells]
         self._tau = None
 
     # -- the map C and its inverse ------------------------------------------
@@ -127,25 +146,12 @@ class TabularDatum:
 
     def split(self, d) -> tuple:
         """The unique triple (S, b, T) with C(S, b, T) = d."""
-        return self.splits[self.index[d]]
+        return self._triple(*self.cells[self.index[d]])
 
-    def _verify_bijection(self) -> None:
-        seen = set()
-        for lam in self.lambdas:
-            rank = self.gammas[lam].rank
-            for s in self.m_sets[lam]:
-                for bidx in range(rank):
-                    b = index_tuple(self.ctx.alg, bidx, lam)
-                    for t in self.m_sets[lam]:
-                        d = self.c(s, b, t)
-                        k = self.ctx.index(d)
-                        if k in seen:
-                            raise AssertionError(f"C not injective at {d}")
-                        if self.splits[k] != (s, b, t):
-                            raise AssertionError(f"half_split does not invert C at {d}")
-                        seen.add(k)
-        if len(seen) != len(self.basis):
-            raise AssertionError("image of C is not the diagram basis")
+    def _triple(self, lam: int, s: int, b: int, t: int) -> tuple:
+        """(S, b, T) as half-diagrams and a label tuple, for a cell."""
+        halves = self.m_sets[lam]
+        return halves[s], index_tuple(self.ctx.alg, b, lam), halves[t]
 
     # -- a-function, products, trace -------------------------------------------
 
@@ -236,9 +242,8 @@ class TabularDatum:
     def _check_a1(self, a_list, witnesses) -> bool:
         (one,) = self.ctx.one().terms
         ok = True
-        empty = HalfDiagram(self.ctx.n, (), ())
-        ident = (self.ctx.alg.identity,) * self.ctx.n
-        if self.trip_index.get((empty, ident, empty)) != one:
+        n = self.ctx.n
+        if self.cells[one] != (n, 0, self.gammas[n].identity, 0):
             witnesses.append(("A1", "identity diagram is not C(0, 1, 0)"))
             ok = False
         for k in a_list:
@@ -248,11 +253,10 @@ class TabularDatum:
         return ok
 
     def _check_a2(self, witnesses) -> bool:
-        inv = self.ctx.alg.inv
         ok = True
-        for k, (s, b, t) in enumerate(self.splits):
-            want = self.c(t, tuple(inv[i] for i in b), s)
-            if star_diagram(self.basis[k], inv) != want:
+        for k, (lam, s, b, t) in enumerate(self.cells):
+            want = self.cell_pos[(lam, t, self.gammas[lam].inv[b], s)]
+            if self.ctx.star_position(k) != want:
                 witnesses.append(("A2", self.basis[k]))
                 ok = False
         return ok
@@ -268,59 +272,54 @@ class TabularDatum:
 
     def _check_a3_layer(self, ia, lam, witnesses) -> bool:
         gam = self.gammas[lam]
-        alg = self.ctx.alg
-        ident = (alg.identity,) * lam
-        acc: dict = {}
-        for s in self.m_sets[lam]:
-            for t in self.m_sets[lam]:
-                for bidx in range(gam.rank):
-                    b = index_tuple(alg, bidx, lam)
-                    k = self.trip_index[(s, b, t)]
+        halves = range(len(self.m_sets[lam]))
+        acc: dict = {}  # (s, t, b) -> {s': {b': coefficient}}
+        for s in halves:
+            for t in halves:
+                for b in range(gam.rank):
+                    k = self.cell_pos[(lam, s, b, t)]
                     decomp: dict = {}
                     for kz, c in self.product(ia, k).items():
-                        sz, bz, tz = self.splits[kz]
-                        if len(bz) > lam:
+                        lz, sz, bz, tz = self.cells[kz]
+                        if lz > lam:
                             witnesses.append(("A3", "propagating count grew", kz))
                             return False
-                        if len(bz) < lam:
+                        if lz < lam:
                             continue
                         if tz != t:
                             witnesses.append(
                                 ("A3", "bottom half changed", ia, k, kz)
                             )
                             return False
-                        decomp.setdefault(sz, {})[tuple_index(alg, bz)] = c
+                        decomp.setdefault(sz, {})[bz] = c
                     acc[(s, t, b)] = decomp
-        for s in self.m_sets[lam]:
-            ref = acc[(s, self.m_sets[lam][0], ident)]
-            wants = []  # (b, the reference expansion for b), shared by every T
-            for bidx in range(gam.rank):
-                want = {sz: gam.mul(r, {bidx: 1}) for sz, r in ref.items()}
-                want = {sz: r for sz, r in want.items() if r}
-                wants.append((index_tuple(alg, bidx, lam), want))
-            for t in self.m_sets[lam]:
-                for b, want in wants:
+        for s in halves:
+            ref = acc[(s, 0, gam.identity)]
+            wants = []  # the reference expansion for each b, shared by every T
+            for b in range(gam.rank):
+                want = {sz: gam.mul(r, {b: 1}) for sz, r in ref.items()}
+                wants.append({sz: r for sz, r in want.items() if r})
+            for t in halves:
+                for b, want in enumerate(wants):
                     if acc[(s, t, b)] != want:
-                        witnesses.append(("A3", "r_a depends on T or g", ia, s, t, b))
+                        hs, word, ht = self._triple(lam, s, b, t)
+                        witnesses.append(
+                            ("A3", "r_a depends on T or g", ia, hs, ht, word)
+                        )
                         return False
         return True
 
     def _check_a4(self, pairs, witnesses) -> bool:
-        alg = self.ctx.alg
         ok = True
         for i, j in pairs:
-            s, b, t = self.splits[i]
-            u, b2, vv = self.splits[j]
-            expected: dict = {}
-            if len(b) == len(b2) and t == u:
-                lam = len(b)
-                supp = self.gammas[lam].mul_basis(
-                    tuple_index(alg, b), tuple_index(alg, b2)
-                )
-                for b3idx, coef in supp.items():
+            lam, s, b, t = self.cells[i]
+            lam2, u, b2, vv = self.cells[j]
+            gam = self.gammas[lam]
+            gid, expected = gam.identity, {}
+            if lam == lam2 and t == u:
+                for b3, coef in gam.mul_basis(b, b2).items():
                     if coef:
-                        b3 = index_tuple(alg, b3idx, lam)
-                        expected[self.trip_index[(s, b3, vv)]] = b3
+                        expected[self.cell_pos[(lam, s, b3, vv)]] = b3
             prod = self.product(i, j)
             for k in set(prod) | set(expected):
                 g = prod.get(k, ZERO)
@@ -333,20 +332,16 @@ class TabularDatum:
                 if (gam_c != 0) != (k in expected):
                     witnesses.append(("A4", "gamma support mismatch", i, j, k))
                     ok = False
-                elif k in expected:
-                    ident = (alg.identity,) * len(b)
-                    if b == ident and b2 == ident and expected[k] == ident:
-                        if gam_c != 1:
-                            witnesses.append(("A4", "gamma != 1 at identity", i, j))
-                            ok = False
+                elif k in expected and gam_c != 1 and b == b2 == expected[k] == gid:
+                    witnesses.append(("A4", "gamma != 1 at identity", i, j))
+                    ok = False
         return ok
 
     def _check_a5(self, pairs, witnesses) -> bool:
         tau = self.tau_vector()
-        alg = self.ctx.alg
         ok = True
-        for k, (s, b, t) in enumerate(self.splits):
-            want = int(s == t and b == (alg.identity,) * len(b))
+        for k, (lam, s, b, t) in enumerate(self.cells):
+            want = int(s == t and b == self.gammas[lam].identity)
             val = Laurent.v_power(self.a_vals[k]) * tau[k]
             if not vneg_congruent(val, want):
                 witnesses.append(("A5", "trace congruence", self.basis[k]))

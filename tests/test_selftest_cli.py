@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from planalg import make_verlinde
-from planalg.cli import _emit
+from planalg.cli import MAX_DIAGRAMS, _basis_size, _emit
+from planalg.planar import Context
 from planalg.embed import rho_build, rho_verify_bijection
 from planalg.table_algebra import (
     TableAlgebra, cyclic_group_algebra, permutation_group_algebra,
@@ -16,6 +17,8 @@ from planalg.selftest import CHECKS, KNOWN_FAILURES, CheckResult, run_check
 from planalg.tabular import AxiomReport
 
 IDENTITY_2 = "1 * n=2 | 1-4:0 2-3:0\n"
+# parses at --n 13, so only the size bound can refuse it
+IDENTITY_13 = "1 * n=13 | " + " ".join(f"{i}-{27 - i}:0" for i in range(1, 14)) + "\n"
 
 TLBASIS_I24 = """\
 group: I2(4)
@@ -145,12 +148,28 @@ def test_conjecture_exit_zero():
     (("embed", "--type", "B", "--rank", "4"), ""),
     (("conjecture", "--type", "I", "--rank", "2", "--m", "13"), ""),
     (("conjecture", "--type", "A", "--rank", "1"), ""),
+    # refused from the closed-form size, before any diagram is listed
+    (("basis", "--n", "7", "--verlinde", "4"), ""),
+    (("dbasis", "--n", "7", "--verlinde", "4"), ""),
+    (("axioms", "--n", "5", "--verlinde", "5"), ""),
+    (("drank", "--r", "2", "--nmax", "9"), ""),
+    (("mul", "--n", "13", "--verlinde", "1"), IDENTITY_13 + "--\n" + IDENTITY_13),
+    (("star", "--n", "13", "--verlinde", "1"), IDENTITY_13),
+    (("trace", "--n", "13", "--verlinde", "1"), IDENTITY_13),
+    (("omega", "--n", "13", "--verlinde", "1"), IDENTITY_13),
 ])
 def test_usage_errors_exit_two(args, stdin):
     proc = run_cli(*args, stdin=stdin)
     assert proc.returncode == 2
     # argparse prints its usage first; a traceback would end otherwise.
     assert proc.stderr.splitlines()[-1].startswith("planalg:")
+
+
+def test_closed_form_basis_size():
+    for n, r in [(1, 1), (2, 3), (3, 2), (4, 2), (5, 1), (3, 4)]:
+        assert _basis_size(n, r) == len(Context(n, make_verlinde(r)).basis())
+    assert _basis_size(7, 4) == 7_028_736 > MAX_DIAGRAMS
+    assert _basis_size(6, 3) == 96_228 <= MAX_DIAGRAMS
 
 
 @pytest.mark.parametrize("command", ["mul", "trace"])

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from planalg.laurent import DELTA, Laurent, ONE, V_INV, vneg_congruent
-from planalg.planar import Context
+from planalg.laurent import DELTA, Laurent, ONE, V, V_INV, vneg_congruent
+from planalg.planar import Context, diagram_product
+from planalg.table_algebra import permutation_group_algebra
 from planalg.tabular import EXHAUSTIVE_CAP, datum_build
 from planalg.verlinde import make_verlinde
 
@@ -23,6 +24,12 @@ def d32():
     return datum_build(Context(3, make_verlinde(2)))
 
 
+@pytest.fixture(scope="module")
+def ds3():
+    # S3 labels do not commute
+    return datum_build(Context(2, permutation_group_algebra(3)))
+
+
 def test_layer_sizes(d22):
     assert d22.lambdas == (0, 2)
     assert [len(d22.m_sets[lam]) for lam in d22.lambdas] == [2, 1]
@@ -36,10 +43,13 @@ def test_layer_sizes_odd(d32):
     assert len(d32.basis) == 5 * 2 ** 3
 
 
-def test_split_join_is_a_bijection(d22):
-    for d in d22.basis:
-        s, b, t = d22.split(d)
-        assert d22.c(s, b, t) == d
+def test_split_join_is_a_bijection(d22, d32, ds3):
+    for datum in (d22, d32, ds3):
+        for k, d in enumerate(datum.basis):
+            s, b, t = datum.split(d)
+            assert datum.c(s, b, t) == d
+            assert datum.cell_pos[datum.cells[k]] == k
+        assert len(datum.cell_pos) == len(datum.basis)
 
 
 def test_a_function_counts_arcs(d22):
@@ -47,9 +57,11 @@ def test_a_function_counts_arcs(d22):
     assert values == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (3, 3), (1, "S3"), (2, "S3")])
 def test_axioms_pass_exhaustively(n, r):
-    datum = datum_build(Context(n, make_verlinde(r)))
+    # S3 labels do not commute, so a swapped order in A3 would show
+    labels = permutation_group_algebra(3) if r == "S3" else make_verlinde(r)
+    datum = datum_build(Context(n, labels))
     rep = datum.axioms_check()
     assert rep.ok, rep.witnesses[:3]
     assert rep.a_function_ok
@@ -96,11 +108,11 @@ def test_basis_is_almost_orthonormal_and_gram_regular(n, r):
 def test_degree_bound_attained_with_unit_gamma(d22):
     # the top coefficient of C_{S,T} C_{T,U} at C_{S,U} is exactly 1
     # when all arcs carry the identity label
-    for i, (s, b, t) in enumerate(d22.splits):
-        if any(lbl != d22.ctx.alg.identity for lbl in b):
+    for i, (lam, s, b, t) in enumerate(d22.cells):
+        if b != d22.gammas[lam].identity:
             continue
-        j = d22.trip_index[(t, b, s)]
-        k = d22.trip_index[(s, b, s)]
+        j = d22.cell_pos[(lam, t, b, s)]
+        k = d22.cell_pos[(lam, s, b, s)]
         g = d22.g_constant(i, j, k)
         assert g.degree() == d22.a_vals[k]
         assert g.coeff(d22.a_vals[k]) == 1
@@ -108,10 +120,61 @@ def test_degree_bound_attained_with_unit_gamma(d22):
 
 def test_doubling_identity(d22):
     # C_{S,S}^1 C_{S,T}^b = delta^{a} C_{S,T}^b at the bottom layer
-    for i, (s, b, t) in enumerate(d22.splits):
+    for i, (lam, s, b, t) in enumerate(d22.cells):
         if d22.a_vals[i] != 1:
             continue
-        k = d22.trip_index[(s, b, s)]
+        k = d22.cell_pos[(lam, s, b, s)]
         prod = d22.product(k, i)
         want = {i: DELTA ** d22.a_vals[i]}
         assert prod == want
+
+
+# -- corrupted data must fail the axiom checks ------------------------------
+
+
+def _raise_coefficient(datum):
+    prod = dict(diagram_product(datum.ctx, 1, 3))
+    k = min(prod)
+    prod[k] = prod[k] + V
+    datum.ctx._prod[(1, 3)] = prod
+
+
+def _move_to_other_bottom_half(datum):
+    prod = dict(diagram_product(datum.ctx, 1, 3))
+    k = min(prod)
+    s, b, t = datum.split(datum.basis[k])
+    (other,) = [u for u in datum.m_sets[len(b)] if u != t]
+    prod[datum.index[datum.c(s, b, other)]] = prod.pop(k)
+    datum.ctx._prod[(1, 3)] = prod
+
+
+def _bump_trace(datum):
+    datum.tau_vector()[2] += 1
+
+
+def _break_unit(datum):
+    (one,) = datum.ctx.one().terms
+    datum.ctx._prod[(one, 0)] = {0: ONE + ONE}
+
+
+@pytest.mark.parametrize("corrupt,failing,witness", [
+    (_raise_coefficient, ["A3", "A4"],
+     "('A3', 'r_a depends on T or g', 1, HalfDiagram(n=2, arcs=((1, 2),), "
+     "labels=(1,)), HalfDiagram(n=2, arcs=((1, 2),), labels=(1,)), ())"),
+    (_move_to_other_bottom_half, ["A3", "A4", "A5"],
+     "('A3', 'bottom half changed', 1, 3, 0)"),
+    (_bump_trace, ["A5"],
+     "('A5', 'tau(x) != tau(x*)', "
+     "LabeledDiagram(matching=((1, 2), (3, 4)), labels=(0, 1)))"),
+    (_break_unit, ["A1", "A3", "A5"],
+     "('A1', 'identity fails as unit', "
+     "LabeledDiagram(matching=((1, 2), (3, 4)), labels=(0, 0)))"),
+])
+def test_corrupted_datum_fails_with_a_witness(corrupt, failing, witness):
+    # on P(2, 2): a wrong product or trace must flip its flag
+    datum = datum_build(Context(2, make_verlinde(2)))
+    corrupt(datum)
+    rep = datum.axioms_check()
+    assert [name for name, ok in rep.flags().items() if not ok] == failing
+    assert f"witness: {witness}" in rep.lines()
+    assert not rep.ok
