@@ -22,7 +22,6 @@ from .table_algebra import (
     cyclic_group_algebra,
     permutation_group_algebra,
     tensor,
-    tensor_power,
     trivial_algebra,
 )
 from .verlinde import make_verlinde, reduction_structure_constants, w_identities
@@ -33,7 +32,6 @@ from .diagram import (
     edge_kinds,
     half_arcs,
     half_join,
-    half_split,
     identity_diagram,
     matchings,
     principal_pairs,

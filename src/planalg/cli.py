@@ -26,6 +26,9 @@ from .verlinde import make_verlinde
 MAX_N = 12
 #: Most basis diagrams that basis, dbasis, axioms and drank enumerate.
 MAX_DIAGRAMS = 100_000
+#: Largest label rank, checked before any label algebra is built:
+#: make_verlinde and check_algebra both grow as rank^3.
+MAX_RANK = 32
 
 
 class UsageError(Exception):
@@ -44,16 +47,27 @@ def _refuse_large(flag: str, n: int, rank: int, command: str) -> None:
                          f"{command} enumerates at most {MAX_DIAGRAMS:,}")
 
 
+def _refuse_rank(flag: str, rank: int) -> None:
+    if rank > MAX_RANK:
+        raise UsageError(f"{flag}: label rank {rank} is above the supported {MAX_RANK}")
+
+
 def _context(args, enumerates: bool = False) -> Context:
     """The context named by the flags; refused before it is made when n
-    exceeds MAX_N, or when ``enumerates`` and the basis exceeds
+    exceeds MAX_N, before its label algebra is built or checked when the
+    rank exceeds MAX_RANK, or when ``enumerates`` and the basis exceeds
     MAX_DIAGRAMS."""
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    if args.n > MAX_N:
+        raise UsageError(f"--n {args.n}: context commands support n up to {MAX_N}")
     if args.algebra:
         try:
             with open(args.algebra, encoding="ascii") as fh:
                 alg = TableAlgebra.from_text(fh.read())
         except (OSError, ValueError) as exc:
             raise UsageError(f"--algebra {args.algebra}: {exc}") from exc
+        _refuse_rank(f"--algebra {args.algebra}", alg.rank)
         report = check_algebra(alg)
         if not report.ok:
             flag = next(name for name, ok in report.flags().items() if not ok)
@@ -61,13 +75,10 @@ def _context(args, enumerates: bool = False) -> Context:
                 f"--algebra {args.algebra}: fails {flag}: {report.witnesses[0]}"
             )
     elif args.verlinde:
+        _refuse_rank(f"--verlinde {args.verlinde}", args.verlinde)
         alg = make_verlinde(args.verlinde)
     else:
         raise UsageError("a context needs --verlinde <r> or --algebra <file>")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.n > MAX_N:
-        raise UsageError(f"--n {args.n}: context commands support n up to {MAX_N}")
     if enumerates:
         _refuse_large("--n", args.n, alg.rank, args.command)
     return Context(args.n, alg)
@@ -117,6 +128,7 @@ def _read_elements(ctx: Context, args, count: int) -> list:
 def cmd_verlinde(args) -> int:
     if args.r < 1:
         raise UsageError("verlinde needs r >= 1")
+    _refuse_rank(f"verlinde {args.r}", args.r)
     print(make_verlinde(args.r).to_text())
     return 0
 
@@ -221,6 +233,7 @@ def cmd_conjecture(args) -> int:
 def cmd_drank(args) -> int:
     if args.r < 1 or args.nmax < 1:
         raise UsageError("drank needs --r >= 1 and --nmax >= 1")
+    _refuse_rank(f"--r {args.r}", args.r)
     _refuse_large("--nmax", args.nmax, args.r, "drank")
     seq = drank_sequence(args.r, args.nmax)
     if args.machine:

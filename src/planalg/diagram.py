@@ -13,8 +13,8 @@ algebra's anti-involution).
 
 This module is purely combinatorial: enumeration, edge classification,
 stacking two matchings into paths and closed loops and closing one
-matching into loops (both on one strand walker), and splitting or
-joining diagrams along a horizontal cut.  The algebra (fusing the label
+matching into loops (both on one strand walker), and joining two
+half-diagrams along a horizontal cut.  The algebra (fusing the label
 word of each walked strand, loop scalars) lives in :mod:`planalg.planar`.
 
 >>> len(matchings(3))
@@ -506,31 +506,3 @@ def half_join(s: HalfDiagram, b: tuple, t: HalfDiagram, inv) -> LabeledDiagram:
         items.append((_pair(p, n2 + 1 - q), b[k - 1] if k % 2 else inv[b[k - 1]]))
     items.sort()
     return LabeledDiagram(tuple(p for p, _ in items), tuple(l for _, l in items))
-
-
-def half_split(d: LabeledDiagram, inv) -> tuple:
-    """Inverse of :func:`half_join`: returns (S, b, T).
-
-    >>> d = LabeledDiagram.from_text('n=2 | 1-2:1 3-4:2')
-    >>> s, b, t = half_split(d, (0, 2, 1))
-    >>> (s == t, b)
-    (True, ())
-    """
-    n, n2 = d.n, 2 * d.n
-    top, bot, props = [], [], []
-    for (a, b_), l in zip(d.matching, d.labels):
-        if b_ <= n:
-            top.append(((a, b_), l))
-        elif a > n:
-            bot.append((_pair(n2 + 1 - b_, n2 + 1 - a), inv[l]))
-        else:
-            props.append(((a, b_), l))
-    top.sort()
-    bot.sort()
-    props.sort()
-    b_tuple = tuple(
-        l if k % 2 else inv[l] for k, ((_, _), l) in enumerate(props, start=1)
-    )
-    s = HalfDiagram(n, tuple(p for p, _ in top), tuple(l for _, l in top))
-    t = HalfDiagram(n, tuple(p for p, _ in bot), tuple(l for _, l in bot))
-    return s, b_tuple, t

@@ -330,8 +330,8 @@ def permutation_group_algebra(n: int) -> TableAlgebra:
 def tensor(a: TableAlgebra, b: TableAlgebra) -> TableAlgebra:
     """Tensor product with basis b_i (x) b'_j, flattened row-major.
 
-    Index (i, j) becomes i * b.rank + j, matching the flattening used
-    for iterated tensor powers of label tuples.
+    Index (i, j) becomes i * b.rank + j, matching the flattening of
+    label tuples by :func:`tuple_index`.
 
     >>> t = tensor(cyclic_group_algebra(2), cyclic_group_algebra(3))
     >>> t.rank, t.check().ok
@@ -359,27 +359,9 @@ def tensor(a: TableAlgebra, b: TableAlgebra) -> TableAlgebra:
     return TableAlgebra(a.rank * rb, flat(a.identity, b.identity), inv, rows, labels)
 
 
-def tensor_power(alg: TableAlgebra, k: int) -> TableAlgebra:
-    """k-fold tensor power; k = 0 gives the rank-1 trivial algebra.
-
-    Basis index of a tuple (i_1, .., i_k) is its row-major flattening,
-    i.e. the base-``alg.rank`` integer with digits i_1 .. i_k.
-    """
-    if k < 0:
-        raise ValueError("tensor power needs k >= 0")
-    out = trivial_algebra()
-    for _ in range(k):
-        out = tensor(out, alg) if out.rank > 1 else _first_factor(out, alg)
-    return out
-
-
-def _first_factor(triv: TableAlgebra, alg: TableAlgebra) -> TableAlgebra:
-    # tensor(trivial, alg) is canonically alg itself; keep alg's labels.
-    return TableAlgebra(alg.rank, alg.identity, alg.inv, alg.rows, alg.labels)
-
-
 def tuple_index(alg: TableAlgebra, tup) -> int:
-    """Flat basis index of a label tuple in tensor_power(alg, len(tup))."""
+    """Flat basis index of a label tuple in the len(tup)-fold tensor power
+    of alg: the base-``alg.rank`` integer with the tuple as its digits."""
     idx = 0
     for t in tup:
         idx = idx * alg.rank + t
@@ -393,3 +375,26 @@ def index_tuple(alg: TableAlgebra, idx: int, k: int) -> tuple:
         idx, rem = divmod(idx, alg.rank)
         out.append(rem)
     return tuple(reversed(out))
+
+
+def tuple_mul(alg: TableAlgebra, x: int, y: int, k: int) -> dict:
+    """Product of the label k-tuples with flat indices x and y in the
+    k-fold tensor power of alg, factor by factor, as {flat index: int}.
+
+    No tensor-power table is built: each factor's row is read from
+    ``alg.rows``, so the cost is the size of the product, not r^(2k).
+    Terms come in the row order of tensor(tensor(alg, alg), ..).
+
+    >>> z2 = cyclic_group_algebra(2)
+    >>> tuple_mul(z2, tuple_index(z2, (1, 0, 1)), tuple_index(z2, (1, 1, 0)), 3)
+    {3: 1}
+    >>> tuple_mul(z2, 0, 0, 0)
+    {0: 1}
+    """
+    out = {0: 1}
+    for i, j in zip(index_tuple(alg, x, k), index_tuple(alg, y, k)):
+        row = alg.rows.get((i, j), {})
+        out = {
+            idx * alg.rank + m: c * cm for idx, c in out.items() for m, cm in row.items()
+        }
+    return out

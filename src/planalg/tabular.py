@@ -4,9 +4,11 @@ The diagram basis of P_n decomposes by the number lambda of propagating
 edges.  Each basis element is assembled as C(S, b, T) from a labeled
 top half S, a labeled bottom half T (mirrored with involuted labels),
 and a lambda-fold tensor label b on the propagating strands.  The datum
-records, per lambda, the tensor-power label algebra and the finite set
-M(lambda) of labeled half-diagrams, together with the bijection C,
-which it keeps and checks in integer cell coordinates.
+records, per lambda, the finite set M(lambda) of labeled half-diagrams,
+together with the bijection C, which it keeps and checks in integer
+cell coordinates.  The tensor-power label algebra A^(x lambda) is never
+tabulated: a tensor label is its flat index (``tuple_index``), and two
+labels multiply factor by factor (``tuple_mul``).
 
 ``TabularDatum.axioms_check`` runs the five defining conditions of a
 tabular algebra with trace, each executably and with witnesses on
@@ -48,9 +50,9 @@ import random
 from dataclasses import dataclass, field
 
 from .diagram import HalfDiagram, half_arcs, half_join
-from .laurent import Laurent, ONE, ZERO, dot, vneg_congruent
+from .laurent import Laurent, ONE, ZERO, dot, lincomb, vneg_congruent
 from .planar import Context, Element, diagram_product, trace_of_diagram
-from .table_algebra import index_tuple, tensor_power
+from .table_algebra import index_tuple, tuple_index, tuple_mul
 
 #: Largest basis checked exhaustively; larger ones use SAMPLES seeded pairs.
 EXHAUSTIVE_CAP = 200
@@ -99,16 +101,16 @@ class TabularDatum:
     """The decomposition datum (Lambda, Gamma, M, C, *) for a context.
 
     ``cells[k] = (lam, s, b, t)``, with s and t indexing ``m_sets[lam]``
-    and b a basis index of ``gammas[lam]``, and its inverse ``cell_pos``
-    are C by integers; half-diagrams appear only in :meth:`c`,
-    :meth:`split` and witnesses.
+    and b the flat index of a lambda-tuple of labels, a basis index of
+    the tensor-power label algebra, and its inverse ``cell_pos`` are C
+    by integers; half-diagrams appear only in :meth:`c`, :meth:`split`
+    and witnesses.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         n, alg = ctx.n, ctx.alg
         self.lambdas = tuple(range(n % 2, n + 1, 2))
-        self.gammas = {lam: tensor_power(alg, lam) for lam in self.lambdas}
         self.m_sets = {
             lam: tuple(
                 HalfDiagram(n, arcs, labels)
@@ -124,7 +126,7 @@ class TabularDatum:
         for lam in self.lambdas:
             halves = self.m_sets[lam]
             for s, hs in enumerate(halves):
-                for b in range(self.gammas[lam].rank):
+                for b in range(alg.rank**lam):
                     word = index_tuple(alg, b, lam)
                     for t, ht in enumerate(halves):
                         d = self.c(hs, word, ht)
@@ -242,8 +244,8 @@ class TabularDatum:
     def _check_a1(self, a_list, witnesses) -> bool:
         (one,) = self.ctx.one().terms
         ok = True
-        n = self.ctx.n
-        if self.cells[one] != (n, 0, self.gammas[n].identity, 0):
+        n, alg = self.ctx.n, self.ctx.alg
+        if self.cells[one] != (n, 0, tuple_index(alg, (alg.identity,) * n), 0):
             witnesses.append(("A1", "identity diagram is not C(0, 1, 0)"))
             ok = False
         for k in a_list:
@@ -253,9 +255,10 @@ class TabularDatum:
         return ok
 
     def _check_a2(self, witnesses) -> bool:
-        ok = True
+        ok, alg = True, self.ctx.alg
         for k, (lam, s, b, t) in enumerate(self.cells):
-            want = self.cell_pos[(lam, t, self.gammas[lam].inv[b], s)]
+            bbar = tuple_index(alg, (alg.inv[x] for x in index_tuple(alg, b, lam)))
+            want = self.cell_pos[(lam, t, bbar, s)]
             if self.ctx.star_position(k) != want:
                 witnesses.append(("A2", self.basis[k]))
                 ok = False
@@ -271,12 +274,13 @@ class TabularDatum:
         return ok
 
     def _check_a3_layer(self, ia, lam, witnesses) -> bool:
-        gam = self.gammas[lam]
+        alg = self.ctx.alg
+        labels = range(alg.rank**lam)
         halves = range(len(self.m_sets[lam]))
         acc: dict = {}  # (s, t, b) -> {s': {b': coefficient}}
         for s in halves:
             for t in halves:
-                for b in range(gam.rank):
+                for b in labels:
                     k = self.cell_pos[(lam, s, b, t)]
                     decomp: dict = {}
                     for kz, c in self.product(ia, k).items():
@@ -294,10 +298,13 @@ class TabularDatum:
                         decomp.setdefault(sz, {})[bz] = c
                     acc[(s, t, b)] = decomp
         for s in halves:
-            ref = acc[(s, 0, gam.identity)]
+            ref = acc[(s, 0, tuple_index(alg, (alg.identity,) * lam))]
             wants = []  # the reference expansion for each b, shared by every T
-            for b in range(gam.rank):
-                want = {sz: gam.mul(r, {b: 1}) for sz, r in ref.items()}
+            for b in labels:
+                want = {
+                    sz: lincomb((c, tuple_mul(alg, bz, b, lam)) for bz, c in r.items())
+                    for sz, r in ref.items()
+                }
                 wants.append({sz: r for sz, r in want.items() if r})
             for t in halves:
                 for b, want in enumerate(wants):
@@ -310,16 +317,14 @@ class TabularDatum:
         return True
 
     def _check_a4(self, pairs, witnesses) -> bool:
-        ok = True
+        ok, alg = True, self.ctx.alg
         for i, j in pairs:
             lam, s, b, t = self.cells[i]
             lam2, u, b2, vv = self.cells[j]
-            gam = self.gammas[lam]
-            gid, expected = gam.identity, {}
+            gid, expected = tuple_index(alg, (alg.identity,) * lam), {}
             if lam == lam2 and t == u:
-                for b3, coef in gam.mul_basis(b, b2).items():
-                    if coef:
-                        expected[self.cell_pos[(lam, s, b3, vv)]] = b3
+                for b3 in tuple_mul(alg, b, b2, lam):
+                    expected[self.cell_pos[(lam, s, b3, vv)]] = b3
             prod = self.product(i, j)
             for k in set(prod) | set(expected):
                 g = prod.get(k, ZERO)
@@ -339,9 +344,9 @@ class TabularDatum:
 
     def _check_a5(self, pairs, witnesses) -> bool:
         tau = self.tau_vector()
-        ok = True
+        ok, alg = True, self.ctx.alg
         for k, (lam, s, b, t) in enumerate(self.cells):
-            want = int(s == t and b == self.gammas[lam].identity)
+            want = int(s == t and b == tuple_index(alg, (alg.identity,) * lam))
             val = Laurent.v_power(self.a_vals[k]) * tau[k]
             if not vneg_congruent(val, want):
                 witnesses.append(("A5", "trace congruence", self.basis[k]))

@@ -3,17 +3,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from planalg.diagram import (
-    HalfDiagram,
     LabeledDiagram,
     closure_loops,
     e_matching,
     edge_kinds,
     half_arcs,
-    half_join,
-    half_split,
     identity_matching,
     matchings,
     partner_map,
@@ -153,30 +149,3 @@ def test_from_text_accepts_exactly_the_non_crossing_matchings(n):
 )
 def test_half_arc_counts(n, lam, count):
     assert len(half_arcs(n, lam)) == count
-
-
-def test_half_split_then_join_round_trips():
-    alg = make_verlinde(2)
-    for m in matchings(3):
-        for labels in itertools.product(range(2), repeat=3):
-            d = LabeledDiagram(m, labels)
-            s, b, t = half_split(d, alg.inv)
-            assert half_join(s, b, t, alg.inv) == d
-            assert s.n == t.n == 3
-            assert s.lam == t.lam == len(b)
-
-
-@given(
-    st.integers(2, 4),
-    st.integers(1, 3),
-    st.data(),
-)
-def test_half_join_then_split_round_trips(n, r, data):
-    alg = make_verlinde(r)
-    m = data.draw(st.sampled_from(matchings(n)))
-    labels = tuple(
-        data.draw(st.integers(0, r - 1)) for _ in range(n)
-    )
-    d = LabeledDiagram(m, labels)
-    s, b, t = half_split(d, alg.inv)
-    assert half_join(s, b, t, alg.inv) == d

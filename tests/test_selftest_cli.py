@@ -1,13 +1,14 @@
 """End-to-end command line checks, run through a real subprocess."""
 
 import re
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from planalg import make_verlinde
-from planalg.cli import MAX_DIAGRAMS, _basis_size, _emit
+from planalg.cli import MAX_DIAGRAMS, MAX_RANK, _basis_size, _emit
 from planalg.planar import Context
 from planalg.embed import rho_build, rho_verify_bijection
 from planalg.table_algebra import (
@@ -19,6 +20,8 @@ from planalg.tabular import AxiomReport
 IDENTITY_2 = "1 * n=2 | 1-4:0 2-3:0\n"
 # parses at --n 13, so only the size bound can refuse it
 IDENTITY_13 = "1 * n=13 | " + " ".join(f"{i}-{27 - i}:0" for i in range(1, 14)) + "\n"
+# stands for a file holding the table of Z/33, one rank above MAX_RANK
+Z33_FILE = "<Z/33 table file>"
 
 TLBASIS_I24 = """\
 group: I2(4)
@@ -34,12 +37,13 @@ oracle: theta(C'_w) == c_w for all w
 """
 
 
-def run_cli(*args, stdin=""):
+def run_cli(*args, stdin="", preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "planalg", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -157,12 +161,34 @@ def test_conjecture_exit_zero():
     (("star", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("trace", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("omega", "--n", "13", "--verlinde", "1"), IDENTITY_13),
+    # refused from the rank, before the label algebra is built or checked
+    (("verlinde", "33"), ""),
+    (("basis", "--n", "1", "--verlinde", "33"), ""),
+    (("drank", "--r", "33", "--nmax", "1"), ""),
+    (("basis", "--n", "1", "--algebra", Z33_FILE), ""),
 ])
-def test_usage_errors_exit_two(args, stdin):
+def test_usage_errors_exit_two(tmp_path, args, stdin):
+    z33 = tmp_path / "z33.txt"
+    z33.write_text(cyclic_group_algebra(MAX_RANK + 1).to_text())
+    args = [str(z33) if a == Z33_FILE else a for a in args]
     proc = run_cli(*args, stdin=stdin)
     assert proc.returncode == 2
     # argparse prints its usage first; a traceback would end otherwise.
     assert proc.stderr.splitlines()[-1].startswith("planalg:")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_axioms_at_rank_twelve_fit_in_one_gigabyte():
+    # P(3, 12): a table of the cube of V_12 alone would not fit
+    proc = run_cli("--machine", "axioms", "--n", "3", "--verlinde", "12",
+                   preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    for key in ("A1", "A2", "A3", "A4", "A5", "a_function"):
+        assert f"{key}=True" in lines
 
 
 def test_closed_form_basis_size():

@@ -1,5 +1,7 @@
 """Axiom scanner, group tables, tensor products and the text format."""
 
+import itertools
+
 import pytest
 
 from planalg.table_algebra import (
@@ -9,10 +11,11 @@ from planalg.table_algebra import (
     index_tuple,
     permutation_group_algebra,
     tensor,
-    tensor_power,
     trivial_algebra,
     tuple_index,
+    tuple_mul,
 )
+from planalg.verlinde import make_verlinde
 
 
 def test_cyclic_three_passes_all_flags():
@@ -98,21 +101,19 @@ def test_tensor_product_is_componentwise():
     assert t.mul_basis(4, 4) == {2: 1}
 
 
-def test_tensor_power_and_tuple_indexing():
-    alg = cyclic_group_algebra(2)
-    cube = tensor_power(alg, 3)
-    assert cube.rank == 8
-    assert check_algebra(cube).ok
-    for idx in range(8):
-        tup = index_tuple(alg, idx, 3)
-        assert tuple_index(alg, tup) == idx
-    # componentwise product of (g,e,g) with itself is the identity tuple
-    k = tuple_index(alg, (1, 0, 1))
-    assert cube.mul_basis(k, k) == {tuple_index(alg, (0, 0, 0)): 1}
-
-
-def test_tensor_power_zero_is_trivial():
-    assert tensor_power(cyclic_group_algebra(3), 0).rank == 1
+@pytest.mark.parametrize("labels", ["Z2", "S3", "V3"])
+def test_tuple_mul_is_the_tensor_product(labels):
+    # S3 does not commute; V3 has rows with more than one term
+    alg = {"Z2": cyclic_group_algebra(2), "S3": permutation_group_algebra(3),
+           "V3": make_verlinde(3)}[labels]
+    cube = tensor(tensor(alg, alg), alg)
+    for x, y in itertools.product(range(cube.rank), repeat=2):
+        assert list(tuple_mul(alg, x, y, 3).items()) == list(cube.mul_basis(x, y).items())
+    for x in range(cube.rank):
+        assert tuple_index(alg, index_tuple(alg, x, 3)) == x
+    for x, y in itertools.product(range(alg.rank), repeat=2):
+        assert tuple_mul(alg, x, y, 1) == alg.mul_basis(x, y)
+    assert tuple_mul(alg, 0, 0, 0) == {0: 1}
 
 
 def test_text_round_trip():

@@ -7,7 +7,8 @@ import pytest
 
 from planalg.laurent import DELTA, Laurent, ONE, V, V_INV, vneg_congruent
 from planalg.planar import Context, diagram_product
-from planalg.table_algebra import permutation_group_algebra
+from planalg import table_algebra
+from planalg.table_algebra import permutation_group_algebra, tuple_index
 from planalg.tabular import EXHAUSTIVE_CAP, datum_build
 from planalg.verlinde import make_verlinde
 
@@ -22,6 +23,11 @@ def d22():
 @pytest.fixture(scope="module")
 def d32():
     return datum_build(Context(3, make_verlinde(2)))
+
+
+@pytest.fixture(scope="module")
+def d42():
+    return datum_build(Context(4, make_verlinde(2)))
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +49,14 @@ def test_layer_sizes_odd(d32):
     assert len(d32.basis) == 5 * 2 ** 3
 
 
-def test_split_join_is_a_bijection(d22, d32, ds3):
-    for datum in (d22, d32, ds3):
+def test_split_join_is_a_bijection(d22, d32, d42, ds3):
+    # split inverts C on every basis diagram, at n = 2, 3 and 4
+    for datum in (d22, d32, d42, ds3):
+        n = datum.ctx.n
         for k, d in enumerate(datum.basis):
             s, b, t = datum.split(d)
             assert datum.c(s, b, t) == d
+            assert s.n == t.n == n and s.lam == t.lam == len(b)
             assert datum.cell_pos[datum.cells[k]] == k
         assert len(datum.cell_pos) == len(datum.basis)
 
@@ -67,6 +76,17 @@ def test_axioms_pass_exhaustively(n, r):
     assert rep.a_function_ok
     assert rep.exhaustive
     assert not rep.witnesses
+
+
+def test_axioms_build_no_tensor_power_table(monkeypatch):
+    # tensor labels multiply factor by factor; no r^(2 lambda) table
+    def refuse(*args):
+        raise AssertionError("a tensor-power table was built")
+
+    monkeypatch.setattr(table_algebra, "tensor", refuse)
+    for labels in (make_verlinde(3), permutation_group_algebra(3)):
+        rep = datum_build(Context(2, labels)).axioms_check()
+        assert rep.ok, rep.witnesses[:3]
 
 
 def test_sampled_mode_when_capped():
@@ -108,8 +128,9 @@ def test_basis_is_almost_orthonormal_and_gram_regular(n, r):
 def test_degree_bound_attained_with_unit_gamma(d22):
     # the top coefficient of C_{S,T} C_{T,U} at C_{S,U} is exactly 1
     # when all arcs carry the identity label
+    unit = d22.ctx.alg.identity
     for i, (lam, s, b, t) in enumerate(d22.cells):
-        if b != d22.gammas[lam].identity:
+        if b != tuple_index(d22.ctx.alg, (unit,) * lam):
             continue
         j = d22.cell_pos[(lam, t, b, s)]
         k = d22.cell_pos[(lam, s, b, s)]
