@@ -1,8 +1,10 @@
 """Non-crossing matchings, labeled diagrams, composition, half-diagrams."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from planalg.diagram import (
     LabeledDiagram,
@@ -10,6 +12,7 @@ from planalg.diagram import (
     e_matching,
     edge_kinds,
     half_arcs,
+    half_join,
     identity_matching,
     matchings,
     partner_map,
@@ -17,7 +20,9 @@ from planalg.diagram import (
     stack_matchings,
     star_diagram,
 )
+from planalg.planar import Context
 from planalg.table_algebra import cyclic_group_algebra
+from planalg.tabular import datum_build
 from planalg.verlinde import make_verlinde
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
@@ -149,3 +154,36 @@ def test_from_text_accepts_exactly_the_non_crossing_matchings(n):
 )
 def test_half_arc_counts(n, lam, count):
     assert len(half_arcs(n, lam)) == count
+
+
+@functools.cache
+def _datum(n, r):
+    return datum_build(Context(n, make_verlinde(r)))
+
+
+def test_half_split_then_join_round_trips():
+    # the datum's split is the inverse of half_join on every diagram
+    datum = _datum(3, 2)
+    inv = datum.ctx.alg.inv
+    for m in matchings(3):
+        for labels in itertools.product(range(2), repeat=3):
+            d = LabeledDiagram(m, labels)
+            s, b, t = datum.split(d)
+            assert half_join(s, b, t, inv) == d
+            assert s.n == t.n == 3
+            assert s.lam == t.lam == len(b)
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_half_join_then_split_round_trips(n, r, data):
+    datum = _datum(n, r)
+    lam = data.draw(st.sampled_from(datum.lambdas))
+    s = data.draw(st.sampled_from(datum.m_sets[lam]))
+    t = data.draw(st.sampled_from(datum.m_sets[lam]))
+    b = tuple(data.draw(st.integers(0, r - 1)) for _ in range(lam))
+    d = half_join(s, b, t, datum.ctx.alg.inv)
+    assert datum.split(d) == (s, b, t)

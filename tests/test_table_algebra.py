@@ -101,6 +101,26 @@ def test_tensor_product_is_componentwise():
     assert t.mul_basis(4, 4) == {2: 1}
 
 
+def test_tensor_power_and_tuple_indexing():
+    # A^(x3) for A = Z/2, multiplied factor by factor on flat indices
+    alg = cyclic_group_algebra(2)
+    assert check_algebra(tensor(tensor(alg, alg), alg)).ok
+    for idx in range(8):
+        tup = index_tuple(alg, idx, 3)
+        assert tuple_index(alg, tup) == idx
+    # componentwise product of (g,e,g) with itself is the identity tuple
+    k = tuple_index(alg, (1, 0, 1))
+    assert tuple_mul(alg, k, k, 3) == {tuple_index(alg, (0, 0, 0)): 1}
+
+
+def test_tensor_power_zero_is_trivial():
+    # A^(x0) has the single basis element (), its own square
+    alg = cyclic_group_algebra(3)
+    assert index_tuple(alg, 0, 0) == ()
+    assert tuple_index(alg, ()) == 0
+    assert tuple_mul(alg, 0, 0, 0) == {0: 1}
+
+
 @pytest.mark.parametrize("labels", ["Z2", "S3", "V3"])
 def test_tuple_mul_is_the_tensor_product(labels):
     # S3 does not commute; V3 has rows with more than one term
