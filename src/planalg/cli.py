@@ -13,7 +13,7 @@ import sys
 
 from .coxeter import coxeter_group
 from .embed import conjecture_436_check, drank_sequence, rho_build, rho_verify_bijection
-from .planar import Context, fusion_twist
+from .planar import Context, fusion_twist, product_size_bound
 from .selftest import CHECKS, run_check
 from .table_algebra import TableAlgebra, check_algebra
 from .tabular import datum_build
@@ -24,7 +24,8 @@ from .verlinde import make_verlinde
 #: Largest --n a context command accepts: a context numbers all
 #: Catalan(n) matchings when it is made.
 MAX_N = 12
-#: Most basis diagrams that basis, dbasis, axioms and drank enumerate.
+#: Most basis diagrams that basis, dbasis, axioms and drank enumerate,
+#: and most terms that mul writes.
 MAX_DIAGRAMS = 100_000
 #: Largest label rank, checked before any label algebra is built:
 #: make_verlinde and check_algebra both grow as rank^3.
@@ -146,9 +147,27 @@ def cmd_basis(args) -> int:
     return 0
 
 
+def _refuse_large_product(x, y) -> None:
+    """Refuse x * y when its terms could exceed MAX_DIAGRAMS: the bound
+    sums :func:`product_size_bound` over the pairs of terms, and no
+    product is formed.  A context of at most MAX_DIAGRAMS diagrams is
+    never refused."""
+    ctx = x.ctx
+    if _basis_size(ctx.n, ctx.alg.rank) <= MAX_DIAGRAMS:
+        return
+    bound = 0
+    for i in x.terms:
+        for j in y.terms:
+            bound += product_size_bound(ctx, i, j)
+            if bound > MAX_DIAGRAMS:
+                raise UsageError(f"mul: the product may have more than {MAX_DIAGRAMS:,} "
+                                 f"terms ({bound:,} from the terms read so far)")
+
+
 def cmd_mul(args) -> int:
     ctx = _context(args)
     x, y = _read_elements(ctx, args, 2)
+    _refuse_large_product(x, y)
     print((x * y).to_text())
     return 0
 

@@ -187,6 +187,7 @@ class DiagramEmbedding:
         ]
         self._that = [e.scale(_V) - self.ctx.one() for e in self.gen_e]
         self._timage = PrefixTable(g, self.ctx.one(), lambda x, u, s: x * self._that[s])
+        self._rho_canonical: dict = {}
         self._verify_relations()
 
     def _verify_relations(self) -> None:
@@ -225,7 +226,12 @@ class DiagramEmbedding:
         return self.rho_hecke({wc[k]: c for k, c in x.items()})
 
     def rho_canonical(self, w: int) -> Element:
-        return self.rho(self.tl.canonical_t(w))
+        """Image of c_w, kept on first read; shared, like :meth:`t_image`,
+        so callers must not mutate it."""
+        hit = self._rho_canonical.get(w)
+        if hit is None:
+            hit = self._rho_canonical[w] = self.rho(self.tl.canonical_t(w))
+        return hit
 
     def verify_multiplicative(self) -> bool:
         """Exhaustively check rho(t_u t_w) = rho(t_u) rho(t_w)."""

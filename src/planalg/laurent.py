@@ -26,10 +26,17 @@ A combination under construction is a dict
 Rows may hold zero coefficients (and may be empty) while they are
 being built; ``take`` and ``collect`` strip them, so every ``Laurent``
 that leaves the kernel has no zero entry, which ``==`` and ``hash``
-rely on.  Rows are created by the kernel and never alias the ``_c`` of
-a ``Laurent``: the kernel reads its operands and never mutates them,
-and the values it returns are fresh, so shared constants such as
-``ONE``, ``ZERO`` and ``DELTA`` stay intact.
+rely on.  The kernel reads its operands and never mutates them, so
+shared constants such as ``ONE``, ``ZERO`` and ``DELTA`` stay intact.
+A value that :func:`lincomb` returns may be the very ``Laurent`` passed
+in (a key met once, with coefficient 1), not a copy.  That is safe
+because a ``Laurent`` is immutable: nothing in the package writes a
+``Laurent``'s ``_c`` after it is made, and a private row is always a
+fresh dict, never the ``_c`` of a ``Laurent``.
+
+>>> p = V + 1
+>>> lincomb([(1, {"x": p})])["x"] is p
+True
 
 >>> rows = {}
 >>> addmul(rows, "x", V, DELTA)
@@ -420,18 +427,78 @@ def lincomb(pairs) -> dict:
     """The sum of ``c * vec`` over the ``(c, vec)`` pairs, as a clean
     ``{key: Laurent}`` dict without zero values.
 
-    ``c`` is a Laurent or an integer and ``vec`` a ``{key: Laurent}``
-    dict; ``pairs`` is any iterable, a generator included.  Neither the
+    ``c`` is a Laurent or an integer and ``vec`` a dict of Laurent or
+    integer values; ``pairs`` is any iterable, a generator included.  Neither the
     coefficients nor the vectors are modified.
 
     >>> lincomb([(2, {"x": ONE, "y": V}), (V, {"x": V_INV, "y": -2})])
     {'x': Laurent('3')}
+
+    The loop is written out here rather than calling :func:`addmul`
+    once per term.  Most combinations are short (a product row has one
+    to four terms per coefficient and most keys are met once), so the
+    cost is per call and per key, not per coefficient: a key's first
+    term is stored as a ``Laurent`` (the value itself when ``c`` is 1,
+    else one scaled copy), only its second term opens a private
+    ``{exponent: int}`` row, and a monomial ``c`` = a v^e is a
+    shift-and-scale.  Only a ``c`` of several terms runs the double
+    loop.  Entries are keyed in order of first touch, as in
+    :func:`collect`.
     """
-    rows: dict = {}
+    out: dict = {}
     for c, vec in pairs:
+        if type(c) is not Laurent:
+            sh, a = 0, index(c)
+        elif len(c._c) == 1:
+            ((sh, a),) = c._c.items()
+        else:
+            terms = c._c.items()
+            for key, x in vec.items():
+                if type(x) is not Laurent:
+                    x = Laurent(x)
+                cur = out.get(key)
+                if cur is None:
+                    cur = out[key] = {}
+                elif type(cur) is Laurent:
+                    cur = out[key] = dict(cur._c)
+                get = cur.get
+                for e1, x1 in x._c.items():
+                    for e2, x2 in terms:
+                        e = e1 + e2
+                        cur[e] = get(e, 0) + x1 * x2
+            continue
+        unit = a == 1 and not sh
         for key, x in vec.items():
-            addmul(rows, key, x, c)
-    return collect(rows)
+            if type(x) is not Laurent:
+                x = Laurent(x)
+            cur = out.get(key)
+            if cur is None:
+                if unit:
+                    out[key] = x
+                elif a:
+                    out[key] = Laurent._raw({e + sh: y * a for e, y in x._c.items()})
+                else:
+                    out[key] = ZERO
+                continue
+            if type(cur) is Laurent:
+                cur = out[key] = dict(cur._c)
+            get = cur.get
+            if unit:
+                for e, y in x._c.items():
+                    cur[e] = get(e, 0) + y
+            elif a:
+                for e, y in x._c.items():
+                    e += sh
+                    cur[e] = get(e, 0) + y * a
+    result = {}
+    for key, cur in out.items():
+        if type(cur) is dict:
+            cur = {e: y for e, y in cur.items() if y}
+            if cur:
+                result[key] = Laurent._raw(cur)
+        elif cur._c:
+            result[key] = cur
+    return result
 
 
 def dot(pairs) -> Laurent:

@@ -277,6 +277,17 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     return out
 
 
+def product_size_bound(ctx: Context, i: int, j: int) -> int:
+    """Upper bound on the number of terms of :func:`diagram_product`,
+    without forming it: the product over the stacked strands of the
+    sizes of their fused labels, read as the product reads them."""
+    (m_top, l_top), (m_bot, l_bot) = ctx._decode(i), ctx._decode(j)
+    size = 1
+    for segs in stack_matchings(m_top, m_bot).paths:
+        size *= len(fuse(ctx, segs, l_top, l_bot))
+    return size
+
+
 def trace_of_diagram(ctx: Context, k: int) -> Laurent:
     """Closure trace of the basis diagram at position k: product of loop scalars."""
     hit = ctx._trace.get(k)

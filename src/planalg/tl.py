@@ -46,7 +46,10 @@ mu(z) c_z along g.prefix, mu(z) the coefficient of v^-1 of c_u at z
 with zs < z (:func:`planalg.hecke.canonical_step`).  Right
 multiplication by b_s = v^-1 (t_s + t_1), the image of C'_s, is a
 table in unit coordinates read off the certified act, e_y b_s =
-v^{-l(y)-1} (t_y T_s + t_y) (:attr:`TL._b_act`).
+v^{-l(y)-1} (t_y T_s + t_y) (:attr:`TL._b_act`).  The recursion first
+checks the quadratic relation e_y b_s b_s = (v + v^-1) e_y b_s on every
+row and generator (:meth:`TL._check_b_act`), so a table altered after
+it was read off act is refused before any c_w is built.
 
 Why the result is c_us: C'_s is bar-invariant and bar descends to H/J,
 so b_s is bar-invariant in the quotient, whose action
@@ -65,7 +68,10 @@ The recursion reads neither the bar table nor the Hecke algebra, so
 theta(C'_w) = c_w compares recursions over two different algebras,
 and :func:`planalg.hecke.ic_solve` over the bar table is a test oracle
 only.  W_c is closed under prefixes and every c_z a step corrects by
-is in W_c, so the canonical table holds W_c alone.
+is in W_c, so the canonical table holds W_c alone.  The t-basis form
+c_w = sum of v^{-l(y)} (unit coordinate) t_y is kept per instance too,
+filled on first read (:meth:`TL.canonical_t`); like the unit table its
+values are shared and must not be mutated.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
@@ -84,7 +90,7 @@ from .hecke import (
     _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_step, from_unit,
     hecke,
 )
-from .laurent import Laurent, ONE, V_INV, lincomb
+from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
 
 
 class TL:
@@ -106,6 +112,8 @@ class TL:
         # Row k holds t_y T_w (y = wc[k]) for the w read so far.
         self._rows = [PrefixTable(g, {k: ONE}, lambda x, u, s: self.mul_gen(x, s))
                       for k in range(self.rank)]
+        # c_w in the t-basis, by group element, for the w read so far.
+        self._canonical_t: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -254,9 +262,27 @@ class TL:
                                                     for z, c in row.items()})))
                  for row in rows] for k, rows in enumerate(self._act)]
 
+    def _check_b_act(self) -> None:
+        """e_y b_s b_s = (v + v^-1) e_y b_s for every row y and generator s.
+
+        The b_s table is read off the certified act, but a wrong table
+        that keeps every constant term passes the step's degree check;
+        the quadratic relation of b_s refuses it.
+        """
+        b_act = self._b_act
+        for k, rows in enumerate(b_act):
+            for s, row in enumerate(rows):
+                if (lincomb((c, b_act[z][s]) for z, c in row.items())
+                        != lincomb(((DELTA, row),))):
+                    raise AssertionError(
+                        f"b_s table fails b_s^2 = delta b_s at "
+                        f"y = {self.g.word(self.wc[k])}, s = {s + 1}")
+
     @cached_property
     def _canonical_table(self) -> PrefixTable:
-        """c_us = c_u b_s - sum of mu(z) c_z along g.prefix (module docstring)."""
+        """c_us = c_u b_s - sum of mu(z) c_z along g.prefix (module docstring),
+        once :meth:`_check_b_act` has passed on the b_s table."""
+        self._check_b_act()
         g, b_act, pos, wc = self.g, self._b_act, self.pos, self.wc
         table = PrefixTable(g, self.one(), lambda cu, u, s: canonical_step(
             table, cu, s, lincomb((c, b_act[k][s]) for k, c in cu.items()),
@@ -268,13 +294,17 @@ class TL:
         return self._canonical_table[w]
 
     def canonical_t(self, w: int) -> dict:
-        """c_w in the t-basis, keyed by position.
+        """c_w in the t-basis, keyed by position, kept on first read; the
+        value is shared, and callers must not mutate it.
 
         >>> ctx = tl(coxeter_group("I", 2, 4))
         >>> ctx.canonical_t(ctx.wc[1]) == ctx.b(0)
         True
         """
-        return from_unit(self.canonical_unit(w), self.lengths)
+        hit = self._canonical_t.get(w)
+        if hit is None:
+            hit = self._canonical_t[w] = from_unit(self.canonical_unit(w), self.lengths)
+        return hit
 
     def to_canonical(self, x: dict) -> dict:
         """Coordinates of x in the canonical basis, keyed by position."""

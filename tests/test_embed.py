@@ -15,6 +15,7 @@ from planalg import (
 )
 from planalg.diagram import LabeledDiagram
 from planalg.embed import is_b_admissible, is_h_admissible, is_i_admissible
+from planalg.hecke import from_unit
 from planalg.planar import fusion_twist, is_exposed
 
 
@@ -185,6 +186,24 @@ def test_monomial_images_match_canonical_type_a():
         for s in g.rwords[w]:
             prod = prod * emb.gen_e[s]
         assert emb.rho_canonical(w) == prod
+
+
+#: The ten embeddings of selftest checks 10 and 12.
+EMBED_TYPES = [
+    ("A", "A", 2, 0), ("A", "A", 3, 0), ("B", "B", 3, 0), ("H", "H", 3, 0),
+] + [("I", "I", 2, m) for m in range(3, 9)]
+
+
+@pytest.mark.parametrize("variant,family,rank,m", EMBED_TYPES)
+def test_rho_canonical_is_kept_and_matches_a_fresh_image(variant, family, rank, m):
+    emb = rho_build(variant, family, rank, m=m).embedding
+    q = emb.tl
+    for _ in range(2):
+        for w in q.wc:
+            got = emb.rho_canonical(w)
+            assert got is emb.rho_canonical(w)
+            assert got == emb.rho(from_unit(q.canonical_unit(w), q.lengths))
+    assert len(emb._rho_canonical) == q.rank
 
 
 def test_uniform_variant_agrees_with_specific():

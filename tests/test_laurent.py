@@ -251,9 +251,15 @@ def test_factor_one_adds_alone(ops):
     assert lincomb((1, {k: a}) for k, a, _ in ops) == got
 
 
+monomials = st.builds(lambda a, e: Laurent({e: a}),
+                      st.sampled_from([1, -1, 2, -3]), st.integers(-3, 3))
 coefficients = st.one_of(st.integers(-3, 3), operands)
-vectors = st.dictionaries(st.sampled_from("abc"), operands, max_size=3)
-combinations = st.lists(st.tuples(coefficients, vectors), max_size=6)
+# Vector values may be plain ints (tabular's tuple_mul rows), and the
+# wider key set leaves most keys hit by one pair only.
+values = st.one_of(operands, st.integers(-3, 3))
+vectors = st.dictionaries(st.sampled_from("abcdefgh"), values, max_size=3)
+combinations = st.lists(
+    st.tuples(st.one_of(coefficients, monomials, st.just(1)), vectors), max_size=6)
 
 
 def _naive_lincomb(pairs):
@@ -269,17 +275,16 @@ def test_lincomb_matches_naive_sums(pairs, cancel):
     if cancel:  # append every pair with its coefficient negated: all keys cancel
         pairs = pairs + [(-c, vec) for c, vec in pairs]
 
+    def copy(x):
+        return x._c.copy() if isinstance(x, Laurent) else x
+
     def snapshot():
-        return [
-            (c._c.copy() if isinstance(c, Laurent) else c,
-             {k: x._c.copy() for k, x in vec.items()})
-            for c, vec in pairs
-        ]
+        return [(copy(c), {k: copy(x) for k, x in vec.items()}) for c, vec in pairs]
 
     before = snapshot()
     got = lincomb(pair for pair in pairs)
     assert got == _naive_lincomb(pairs)
-    assert all(_clean(c) for c in got.values())
+    assert all(type(c) is Laurent and _clean(c) for c in got.values())
     if cancel:
         assert got == {}
     assert lincomb(pairs) == got
@@ -293,6 +298,22 @@ def test_lincomb_edge_cases():
     assert lincomb([(0, {"a": DELTA}), (DELTA, {"b": ZERO})]) == {}
     got = lincomb([(1, {"a": ONE}), (V, {"a": V_INV})])
     assert got == {"a": Laurent(2)} and got["a"] is not ONE
+    assert lincomb([(V, {"a": 2, "b": 0}), (-1, {"c": 3})]) == {
+        "a": 2 * V, "c": Laurent(-3)}
+    # Keys come in order of first touch, a zero coefficient included.
+    assert list(lincomb([(0, {"a": ONE}), (1, {"b": ONE, "a": ONE})])) == ["a", "b"]
+
+
+def test_lincomb_shares_a_value_met_once_safely():
+    p, q = V + 2, DELTA
+    got = lincomb([(1, {"x": p, "y": q}), (V, {"y": ONE})])
+    assert got["x"] is p and got["y"] is not q
+    x = got["x"]
+    assert (x * x, x + x, -x, x.shift(2)) == (p * p, 2 * p, -p, p.shift(2))
+    again = lincomb([(1, got), (-1, {"x": p})])
+    assert again == {"y": DELTA + V}
+    assert (p, got["x"], q) == (V + 2, V + 2, DELTA)
+    assert p._c == {1: 1, 0: 2} and DELTA._c == {1: 1, -1: 1}
 
 
 @given(st.lists(st.tuples(coefficients, coefficients), max_size=6), st.booleans())

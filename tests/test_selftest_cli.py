@@ -20,6 +20,8 @@ from planalg.tabular import AxiomReport
 IDENTITY_2 = "1 * n=2 | 1-4:0 2-3:0\n"
 # parses at --n 13, so only the size bound can refuse it
 IDENTITY_13 = "1 * n=13 | " + " ".join(f"{i}-{27 - i}:0" for i in range(1, 14)) + "\n"
+# every strand u_3: in V_8 each stacked strand fuses to four labels, 4^9 terms
+U3_9 = "1 * n=9 | " + " ".join(f"{i}-{19 - i}:3" for i in range(1, 10)) + "\n"
 # stands for a file holding the table of Z/33, one rank above MAX_RANK
 Z33_FILE = "<Z/33 table file>"
 
@@ -161,6 +163,8 @@ def test_conjecture_exit_zero():
     (("star", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("trace", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("omega", "--n", "13", "--verlinde", "1"), IDENTITY_13),
+    # refused from a bound on its terms, before the product is formed
+    (("mul", "--n", "9", "--verlinde", "8"), U3_9 + "--\n" + U3_9),
     # refused from the rank, before the label algebra is built or checked
     (("verlinde", "33"), ""),
     (("basis", "--n", "1", "--verlinde", "33"), ""),

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from planalg.coxeter import coxeter_group, wc_classify
-from planalg.hecke import Hecke, hecke, ic_solve
+from planalg.hecke import Hecke, from_unit, hecke, ic_solve
 from planalg.laurent import DELTA, Laurent, ONE, V_INV, lincomb
 from planalg.tl import tl
 
@@ -146,21 +146,48 @@ def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
 
 
 @pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES)
-def test_negated_b_s_term_fails_the_oracle_and_bar(family, rank, m):
+def test_negated_b_s_term_fails_the_oracle_and_bar(monkeypatch, family, rank, m):
     """Negating the v^-1 e_y term of every e_y b_s in the unit table.
 
-    The step does not refuse it: the results still have the degree
-    shape of a canonical basis.  The bar table, built apart from the
-    recursion, shows they are wrong.
+    The results would still have the degree shape of a canonical basis,
+    so the step alone does not refuse them; the quadratic relation of
+    b_s, checked where the recursion first reads the table, does.  With
+    that check bypassed, the bar table, built apart from the recursion,
+    shows the results are wrong.
     """
     g = coxeter_group(family, rank, m)
     q = TL_MODULE.TL(g)
     for k, rows in enumerate(q._b_act):
         for s, row in enumerate(rows):
             rows[s] = lincomb(((1, row), (-2, {k: V_INV})))
+    with pytest.raises(AssertionError, match="b_s table fails"):
+        q.canonical_unit(q.wc[-1])
+    assert "_canonical_table" not in vars(q)
+    monkeypatch.setattr(TL_MODULE.TL, "_check_b_act", lambda self: None)
     table = [q.canonical_unit(w) for w in q.wc]
     assert table != ic_solve(q._bar_table, q.lengths)
     assert any(q.bar(q.canonical_t(w)) != q.canonical_t(w) for w in q.wc)
+
+
+@pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
+def test_b_s_table_satisfies_the_quadratic_relation(family, rank, m):
+    q = TL_MODULE.TL(coxeter_group(family, rank, m))
+    q._check_b_act()
+    for k, rows in enumerate(q._b_act):
+        for s, row in enumerate(rows):
+            assert q.mul({k: Laurent.v_power(-q.lengths[k])}, q.b(s)) == {
+                z: c.shift(-q.lengths[z]) for z, c in row.items()}
+
+
+@pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
+def test_canonical_t_is_kept_and_matches_the_unit_table(family, rank, m):
+    q = TL_MODULE.TL(coxeter_group(family, rank, m))
+    for _ in range(2):
+        for w in q.wc:
+            got = q.canonical_t(w)
+            assert got is q.canonical_t(w)
+            assert got == from_unit(q.canonical_unit(w), q.lengths)
+    assert len(q._canonical_t) == q.rank
 
 
 def test_h4_products_on_wc_alone():
