@@ -428,8 +428,8 @@ def lincomb(pairs) -> dict:
     ``{key: Laurent}`` dict without zero values.
 
     ``c`` is a Laurent or an integer and ``vec`` a dict of Laurent or
-    integer values; ``pairs`` is any iterable, a generator included.  Neither the
-    coefficients nor the vectors are modified.
+    integer values; ``pairs`` is any iterable, a generator included.
+    Neither the coefficients nor the vectors are modified.
 
     >>> lincomb([(2, {"x": ONE, "y": V}), (V, {"x": V_INV, "y": -2})])
     {'x': Laurent('3')}
@@ -442,8 +442,8 @@ def lincomb(pairs) -> dict:
     else one scaled copy), only its second term opens a private
     ``{exponent: int}`` row, and a monomial ``c`` = a v^e is a
     shift-and-scale.  Only a ``c`` of several terms runs the double
-    loop.  Entries are keyed in order of first touch, as in
-    :func:`collect`.
+    loop, straight into private rows.  Entries are keyed in order of
+    first touch, as in :func:`collect`.
     """
     out: dict = {}
     for c, vec in pairs:

@@ -163,13 +163,13 @@ def test_conjecture_exit_zero():
     (("star", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("trace", "--n", "13", "--verlinde", "1"), IDENTITY_13),
     (("omega", "--n", "13", "--verlinde", "1"), IDENTITY_13),
-    # refused from a bound on its terms, before the product is formed
-    (("mul", "--n", "9", "--verlinde", "8"), U3_9 + "--\n" + U3_9),
     # refused from the rank, before the label algebra is built or checked
     (("verlinde", "33"), ""),
     (("basis", "--n", "1", "--verlinde", "33"), ""),
     (("drank", "--r", "33", "--nmax", "1"), ""),
     (("basis", "--n", "1", "--algebra", Z33_FILE), ""),
+    # refused from a bound on its terms, before the product is formed
+    (("mul", "--n", "9", "--verlinde", "8"), U3_9 + "--\n" + U3_9),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"

@@ -170,7 +170,7 @@ def test_negated_b_s_term_fails_the_oracle_and_bar(monkeypatch, family, rank, m)
 
 
 @pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
-def test_b_s_table_satisfies_the_quadratic_relation(family, rank, m):
+def test_b_s_table_passes_its_check_and_matches_products(family, rank, m):
     q = TL_MODULE.TL(coxeter_group(family, rank, m))
     q._check_b_act()
     for k, rows in enumerate(q._b_act):
