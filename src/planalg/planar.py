@@ -19,13 +19,18 @@ segments that name each strand by its position in its own diagram's
 sorted matching, which is also the position of its label, so labels
 are read straight from the decoded label tuples.
 
-A cold product is made of table lookups.  Each context keeps four
-tables, each filled on first read: products, traces, decoded positions
-and words.  A strand's *word* is the tuple of labels read along it
-(through the anti-involution where the walk runs against the strand),
-and its fused element depends on the word alone, so each word is fused
-once per context (:func:`fuse`).  Words keep their order: label
-algebras need not be commutative.
+A cold product is made of table lookups.  Each context keeps five
+tables, each filled on first read: products, traces, decoded positions,
+words and scalars.  A strand's *word* is the tuple of labels read along
+it (through the anti-involution where the walk runs against the
+strand), and its fused element depends on the word alone, so each word
+is fused once per context (:func:`fuse`).  Words keep their order:
+label algebras need not be commutative.  Every product coefficient and
+every trace is an integer times delta^(loops), so the scalar table
+keeps one ``Laurent`` per (loops, integer) pair and the product and
+trace tables hold that object, not a copy (:func:`_scalar`): a
+long-lived table stores one object per distinct coefficient, and a
+``Laurent`` is never mutated, so sharing it is safe.
 
 Also here: the star anti-involution (vertical flip + label involution,
 bar on coefficients), the closure traces tr and tau = v^-n tr, the
@@ -45,7 +50,6 @@ Laurent('v^-1 + v^-3')
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from numbers import Integral
 
 from .diagram import (
@@ -67,7 +71,7 @@ from .verlinde import w_multiply
 
 class Context:
     """A diagram algebra P(n, alg): basis numbering and the product,
-    trace, decode and word tables."""
+    trace, decode, word and scalar tables."""
 
     def __init__(self, n: int, alg: TableAlgebra):
         if n < 1:
@@ -80,6 +84,7 @@ class Context:
         self._trace: dict = {}
         self._words: dict = {}
         self._decoded: dict = {}
+        self._scalars: dict = {}
 
     def __repr__(self):
         return f"<Context n={self.n} labels={'/'.join(self.alg.labels)}>"
@@ -227,10 +232,14 @@ def fuse(ctx: Context, segments, top: tuple, bottom: tuple) -> tuple:
     return hit
 
 
-@lru_cache(maxsize=None)
-def _delta_power(k: int) -> Laurent:
-    """The scalar delta^k of k closed loops."""
-    return DELTA**k
+def _scalar(ctx: Context, loops: int, t: int) -> Laurent:
+    """The shared value t * delta^loops of a diagram with that many closed
+    loops (t a nonzero integer), kept in the context's scalar table: one
+    object per distinct (loops, t)."""
+    hit = ctx._scalars.get((loops, t))
+    if hit is None:
+        hit = ctx._scalars[loops, t] = DELTA**loops * t
+    return hit
 
 
 def _loop_trace(ctx: Context, loops, top: tuple, bottom: tuple) -> int:
@@ -247,8 +256,9 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     """Product of the basis diagrams at positions i and j as
     {position: Laurent}, cached in the context's one product table.
 
-    The loop scalars are carried as an integer times delta^(loops) and
-    multiplied out once per composite diagram.
+    The loop scalars are carried as an integer times delta^(loops); each
+    term's coefficient is read from the context's scalar table, so equal
+    coefficients are one shared ``Laurent``.
     """
     key = (i, j)
     hit = ctx._prod.get(key)
@@ -259,20 +269,21 @@ def diagram_product(ctx: Context, i: int, j: int) -> dict:
     loop_t = _loop_trace(ctx, stacked.loops, l_top, l_bot)
     out: dict = {}
     if loop_t:
-        scalar = _delta_power(len(stacked.loops))._c
+        loops, scalars = len(stacked.loops), ctx._scalars
         pos, rank = ctx._matching_pos[stacked.matching], ctx.alg.rank
         strands = [fuse(ctx, segs, l_top, l_bot) for segs in stacked.paths]
         # One term per choice of a label on each strand: each strand's
         # labels are distinct and k is the base-rank numeral of the
         # matching position and the chosen labels, so distinct choices
         # give distinct k; and every coeff is a product of nonzero
-        # integers, so each term is the clean Laurent scalar * coeff.
+        # integers, so each term is the clean Laurent delta^loops * coeff.
         for choice in itertools.product(*strands):
             k, coeff = pos, loop_t
             for l, c in choice:
                 k = k * rank + l
                 coeff *= c
-            out[k] = Laurent._raw({e: x * coeff for e, x in scalar.items()})
+            shared = scalars.get((loops, coeff))
+            out[k] = shared if shared is not None else _scalar(ctx, loops, coeff)
     ctx._prod[key] = out
     return out
 
@@ -289,14 +300,15 @@ def product_size_bound(ctx: Context, i: int, j: int) -> int:
 
 
 def trace_of_diagram(ctx: Context, k: int) -> Laurent:
-    """Closure trace of the basis diagram at position k: product of loop scalars."""
+    """Closure trace of the basis diagram at position k: product of loop
+    scalars, shared through the context's scalar table."""
     hit = ctx._trace.get(k)
     if hit is not None:
         return hit
     matching, labels = ctx._decode(k)
     loops = closure_loops(matching)
     t = _loop_trace(ctx, loops, labels, labels)
-    total = _delta_power(len(loops)) * t if t else ZERO
+    total = _scalar(ctx, len(loops), t) if t else ZERO
     ctx._trace[k] = total
     return total
 

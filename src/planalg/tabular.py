@@ -174,11 +174,17 @@ class TabularDatum:
         return dot((g, tau[k]) for k, g in self.product(i, j).items())
 
     def tau_vector(self) -> list:
+        """tau of every basis diagram, by index; one shared value per
+        distinct trace."""
         if self._tau is None:
-            scale = Laurent.v_power(-self.ctx.n)
-            self._tau = [
-                scale * trace_of_diagram(self.ctx, k) for k in range(len(self.basis))
-            ]
+            n, shared = self.ctx.n, {}
+            self._tau = []
+            for k in range(len(self.basis)):
+                tr = trace_of_diagram(self.ctx, k)
+                tau = shared.get(tr)
+                if tau is None:
+                    tau = shared[tr] = tr.shift(-n)
+                self._tau.append(tau)
         return self._tau
 
     # -- bilinear form -----------------------------------------------------------

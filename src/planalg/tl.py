@@ -37,6 +37,11 @@ T_u) T_s (y = wc[k]), filled along g.prefix on first read
 (:meth:`TL.t_mul`), and the projection theta(T_w) = t_1 T_w is row 0
 read at any w in W (:meth:`TL.theta`), so the cross-check theta(C'_w)
 = c_w touches only the lower Bruhat ideal of W_c, where C'_w lives.
+The rows follow the rule for every long-lived table: it stores one
+object per distinct coefficient, and a ``Laurent`` is never mutated, so
+sharing one is safe.  Each new row entry passes through a per-instance
+table keyed by the set of the coefficient's terms, which determines its
+value (:meth:`TL._share`).
 
 The canonical basis c_w, the bar-invariant element that is e_w =
 v^{-l(w)} t_w plus terms in v^-1 Z[v^-1], comes from the recursion that
@@ -109,8 +114,11 @@ class TL:
                 "fully commutative set not closed under inverses and prefixes")
         self._build_act()
         self._certify()
-        # Row k holds t_y T_w (y = wc[k]) for the w read so far.
-        self._rows = [PrefixTable(g, {k: ONE}, lambda x, u, s: self.mul_gen(x, s))
+        # Row k holds t_y T_w (y = wc[k]) for the w read so far; every
+        # coefficient in the rows is the one object _coeffs keeps for its value.
+        self._coeffs: dict = {}
+        self._rows = [PrefixTable(g, self._share({k: ONE}),
+                                  lambda x, u, s: self._share(self.mul_gen(x, s)))
                       for k in range(self.rank)]
         # c_w in the t-basis, by group element, for the w read so far.
         self._canonical_t: dict = {}
@@ -177,6 +185,24 @@ class TL:
             if lincomb((1, self.mul_word(one, z)) for z in words):
                 raise AssertionError(
                     f"generator of J along {''.join(str(r + 1) for r in word)} survives")
+
+    def _share(self, row: dict) -> dict:
+        """The fresh dict row, each value replaced in place by the object
+        ``_coeffs`` keeps for its value (stored on first sight).
+
+        The key is the frozenset of the terms: equal clean ``Laurent``
+        values have equal term sets, whatever order their dicts hold, and
+        it hashes without the sort that ``Laurent.__hash__`` makes.
+        """
+        coeffs = self._coeffs
+        for k, c in row.items():
+            key = frozenset(c._c.items())
+            hit = coeffs.get(key)
+            if hit is None:
+                coeffs[key] = c
+            else:
+                row[k] = hit
+        return row
 
     # -- linear structure ----------------------------------------------------
 
