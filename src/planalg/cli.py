@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verlinde", help="print the fusion table algebra")
     sub.add_argument("r", type=int)
 
-    for name, exposed in (("basis", False), ("dbasis", True)):
-        sub = subs.add_parser(name, help="list basis diagrams")
+    for name, exposed, what in (("basis", False, "list basis diagrams"),
+                                ("dbasis", True, "list the exposed sub-basis D(n, r)")):
+        sub = subs.add_parser(name, help=what)
         _add_context_flags(sub)
         sub.set_defaults(exposed=exposed)
 

@@ -16,8 +16,10 @@ for w = us with us > u,
 
 in the unit coordinates e_y = v^{-l(y)} T_y (or t_y), along g.prefix,
 where mu(z) is the coefficient of v^-1 of c_u at z (in H, the top
-coefficient of P_{z,u}).  Right multiplication by C'_s is one pass of
-:meth:`Hecke.mul_step` in H and one pass of a table in the quotient;
+coefficient of P_{z,u}).  Right multiplication by C'_s is one
+:func:`planalg.laurent.lincomb` over rows e_ys + v^-1 e_y (rise) and
+e_ys + v e_y (drop) in H and over a table in the quotient, as T_s is in
+:meth:`Hecke.mul_gen` and in the quotient's action table;
 :func:`canonical_step` does the rest for both.  Each c_w is
 bar-invariant by construction, since C'_s is and the mu(z) are
 integers, and must be e_w plus terms in v^-1 Z[v^-1], which makes it
@@ -26,8 +28,9 @@ constant term, breaks this and raises ArithmeticError.  A step that is
 wrong elsewhere can pass, so the tests also hold every c_w to bar and
 to :func:`ic_solve`.  In H the coefficient at y != w is
 v^{l(y)-l(w)} P_{y,w}, and the Hecke table also checks P_{y,w}(0) = 1.
-Both the bar table and the C'_w table fill on first read
-(:class:`PrefixTable`); C'_w never reads bar.
+Both the bar table (:func:`bar_table`, shared with the quotient) and
+the C'_w table fill on first read (:class:`PrefixTable`); C'_w never
+reads bar.
 
 :func:`ic_solve` finds the same basis the other way, by inverting a
 bar table by back-substitution.  No library path calls it: it is the
@@ -47,37 +50,23 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
-from .laurent import Laurent, ONE, V, V_INV, ZERO, addmul, collect, lincomb, take
+from .laurent import Laurent, ONE, V, V_INV, ZERO, addmul, lincomb, take
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
-
-
-def gen_step(a, b) -> tuple:
-    """a T_s + b as the coefficient pairs that :meth:`Hecke.mul_step` reads.
-
-    T_w T_s is T_{ws} when the length rises and q T_{ws} + (q-1) T_w
-    when it drops, so the product with a T_s + b puts (a, b) on
-    (T_{ws}, T_w) on a rise and (a q, a (q-1) + b) on a drop.  The pairs are computed once here, so
-    a product does no Laurent arithmetic beyond its accumulation.  A
-    coefficient 1 on T_{ws} is stored as None (added alone) and a
-    coefficient 0 on T_w as None (skipped).
-
-    >>> gen_step(ONE, ZERO)
-    ((None, None), (Laurent('v^2'), Laurent('v^2 - 1')))
-    """
-    def pair(a, b):
-        return (None if a == ONE else a, b if b else None)
-
-    return pair(a, b), pair(a * _Q, a * (_Q - ONE) + b)
-
-
-_T_S = gen_step(ONE, ZERO)
 # C'_s = v^-1 (T_s + 1) in unit coordinates e_y = v^-l(y) T_y: e_y C'_s is
 # e_ys + v^-1 e_y on a rise and e_ys + v e_y on a drop.
-_CPRIME_S = ((None, V_INV), (None, V))
-# bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1); on a drop w -> ws exactly.
-_BAR_T_S = gen_step(_QINV, _QINV - ONE)
+_CPRIME_S = (V_INV, V)
+
+
+def bar_table(algebra) -> PrefixTable:
+    """bar(T_us) = bar(T_u) T_s^-1, T_s^-1 = q^-1 T_s + q^-1 - 1, on first read.
+
+    ``algebra`` is a :class:`Hecke` or a Temperley-Lieb quotient: only its
+    group, ``one`` and ``mul_gen`` are read.
+    """
+    return PrefixTable(algebra.g, algebra.one(), lambda x, u, s: lincomb(
+        ((_QINV, algebra.mul_gen(x, s)), (_QINV - ONE, x))))
 
 
 def canonical_step(table: PrefixTable, cu: dict, s: int, x: dict, w: int, basis) -> dict:
@@ -163,9 +152,9 @@ def canonical_coords(x: dict, lengths, table, basis) -> dict:
     table[basis[y]] is c_y in unit coordinates, read only for the y
     that x needs.
     """
-    unit: dict = {}
-    for y, c in x.items():
-        addmul(unit, y, c, Laurent.v_power(lengths[y]))
+    # Each private row is a fresh dict: the shift by v^{l(y)}, with no
+    # product, and never the _c of a caller's Laurent.
+    unit = {y: {e + lengths[y]: a for e, a in Laurent(c)._c.items()} for y, c in x.items()}
     out: dict = {}
     for y in range(len(basis) - 1, -1, -1):
         c = take(unit, y)
@@ -199,26 +188,12 @@ class Hecke:
     def one(self) -> dict:
         return {0: ONE}
 
-    def mul_step(self, x: dict, s: int, step: tuple) -> dict:
-        """x * (a T_s + b) in one pass.
-
-        step is ``gen_step(a, b)``.  Each T_w of x goes to T_{ws} and T_w
-        with the pair of coefficients for a length rise or drop.
-        """
-        right, lengths = self.g.right, self.g.lengths
-        rise, drop = step
-        rows: dict = {}
-        for w, c in x.items():
-            ws = right[w][s]
-            a, b = rise if lengths[ws] > lengths[w] else drop
-            addmul(rows, ws, c, a)
-            if b is not None:
-                addmul(rows, w, c, b)
-        return collect(rows)
-
     def mul_gen(self, x: dict, s: int) -> dict:
-        """Right multiplication x * T_s."""
-        return self.mul_step(x, s, _T_S)
+        """Right multiplication x * T_s: T_w T_s is T_ws on a length rise
+        and q T_ws + (q-1) T_w on a drop, the rows of the TL action table."""
+        right, lengths, q1 = self.g.right, self.g.lengths, _Q - ONE
+        return lincomb((c, {ws: ONE} if lengths[ws := right[w][s]] > lengths[w]
+                        else {ws: _Q, w: q1}) for w, c in x.items())
 
     def mul_t(self, x: dict, w: int) -> dict:
         """Right multiplication x * T_w along a reduced word of w."""
@@ -234,8 +209,7 @@ class Hecke:
 
     @cached_property
     def _bar_table(self) -> PrefixTable:
-        """bar(T_us) = bar(T_u) T_s^-1, T_s^-1 = q^-1 T_s + q^-1 - 1, on first read."""
-        return PrefixTable(self.g, self.one(), lambda x, u, s: self.mul_step(x, s, _BAR_T_S))
+        return bar_table(self)
 
     def bar_t(self, w: int) -> dict:
         """bar(T_w) in the T-basis."""
@@ -257,8 +231,10 @@ class Hecke:
         g = self.g
         lengths, right, basis = g.lengths, g.right, range(g.order)
         def step(cu, u, s):
-            w = right[u][s]
-            x = canonical_step(table, cu, s, self.mul_step(cu, s, _CPRIME_S), w, basis)
+            w, (rise, drop) = right[u][s], _CPRIME_S
+            x = lincomb((c, {(ys := right[y][s]): ONE, y: rise if lengths[ys] > lengths[y] else drop})
+                        for y, c in cu.items())
+            x = canonical_step(table, cu, s, x, w, basis)
             lw = lengths[w]
             if any(c.coeff(lengths[y] - lw) != 1 for y, c in x.items() if y != w):
                 raise ArithmeticError(f"C'_{g.word(w)} is not a Kazhdan-Lusztig element: {x}")

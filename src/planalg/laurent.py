@@ -10,24 +10,24 @@ refused with ``TypeError`` rather than truncated.
 
 Sparse combinations ``sum_k c_k x_k`` of vectors ``{key: Laurent}`` are
 built by :func:`lincomb` from the ``(c_k, x_k)`` pairs, and scalar sums
-``sum_k a_k b_k`` by :func:`dot`.  Both run on one accumulation kernel,
-called directly only by loops that read or take rows mid-build or
-relabel keys per term.  The kernel replaces
+``sum_k a_k b_k`` by :func:`dot`.  Loops that read or take a row while
+the combination is still being built (:func:`dot` itself and the
+back-substitutions ``canonical_coords`` and ``ic_solve``) run on an
+accumulation kernel instead.  The kernel replaces
 ``acc[k] = acc.get(k) + c * d``, which would allocate a product, copy
 the accumulated dict and wrap it again for every term.
 A combination under construction is a dict
 ``rows = {key: {exponent: int}}`` of *private rows*:
 
-* :func:`addmul` adds ``a * b`` (or ``a``, or ``a`` times an integer)
-  into ``rows[key]`` in place;
-* :func:`take` removes one row and returns it as a clean ``Laurent``;
-* :func:`collect` returns ``{key: Laurent}`` for all rows.
+* :func:`addmul` adds ``a * b`` (or ``a`` alone) into ``rows[key]`` in
+  place;
+* :func:`take` removes one row and returns it as a clean ``Laurent``.
 
 Rows may hold zero coefficients (and may be empty) while they are
-being built; ``take`` and ``collect`` strip them, so every ``Laurent``
-that leaves the kernel has no zero entry, which ``==`` and ``hash``
-rely on.  The kernel reads its operands and never mutates them, so
-shared constants such as ``ONE``, ``ZERO`` and ``DELTA`` stay intact.
+being built; ``take`` strips them, so every ``Laurent`` that leaves the
+kernel has no zero entry, which ``==`` and ``hash`` rely on.  The
+kernel reads its operands and never mutates them, so shared constants
+such as ``ONE``, ``ZERO`` and ``DELTA`` stay intact.
 A value that :func:`lincomb` returns may be the very ``Laurent`` passed
 in (a key met once, with coefficient 1), not a copy.  That is safe
 because a ``Laurent`` is immutable: nothing in the package writes a
@@ -43,8 +43,8 @@ True
 >>> addmul(rows, "x", ONE, -1)
 >>> addmul(rows, "y", V)
 >>> addmul(rows, "y", V, -1)
->>> collect(rows)
-{'x': Laurent('v^2')}
+>>> take(rows, "x"), take(rows, "y"), rows
+(Laurent('v^2'), Laurent('0'), {})
 
 Also defined here is the quadratic field Q(sqrt 2), used by the rank-3
 to rank-2 fusion homomorphism.
@@ -380,8 +380,8 @@ def vneg_congruent(a, b) -> bool:
 def addmul(rows: dict, key, a, b=None) -> None:
     """Add ``a * b`` into the private row ``rows[key]``, in place.
 
-    ``a`` is a Laurent (or an integer); ``b`` is a Laurent, an integer,
-    or None (like the integer 1) for ``a`` alone.  Neither operand is modified.
+    ``a`` and ``b`` are Laurents or integers, and a ``b`` of None adds
+    ``a`` alone.  Neither operand is modified.
     """
     row = rows.get(key)
     if row is None:
@@ -389,20 +389,17 @@ def addmul(rows: dict, key, a, b=None) -> None:
     if type(a) is not Laurent:
         a = Laurent(a)
     get = row.get
-    if b is None or (type(b) is int and b == 1):
+    if b is None:
         for e, x in a._c.items():
             row[e] = get(e, 0) + x
-    elif type(b) is Laurent:
-        terms = b._c.items()
-        for e1, x1 in a._c.items():
-            for e2, x2 in terms:
-                e = e1 + e2
-                row[e] = get(e, 0) + x1 * x2
-    else:
-        b = index(b)
-        if b:
-            for e, x in a._c.items():
-                row[e] = get(e, 0) + x * b
+        return
+    if type(b) is not Laurent:
+        b = Laurent(b)
+    terms = b._c.items()
+    for e1, x1 in a._c.items():
+        for e2, x2 in terms:
+            e = e1 + e2
+            row[e] = get(e, 0) + x1 * x2
 
 
 def take(rows: dict, key) -> Laurent:
@@ -411,16 +408,6 @@ def take(rows: dict, key) -> Laurent:
     if not row:
         return ZERO
     return Laurent._raw({e: x for e, x in row.items() if x})
-
-
-def collect(rows: dict) -> dict:
-    """``{key: Laurent}`` for the rows, without zero rows or coefficients."""
-    out = {}
-    for key, row in rows.items():
-        coeffs = {e: x for e, x in row.items() if x}
-        if coeffs:
-            out[key] = Laurent._raw(coeffs)
-    return out
 
 
 def lincomb(pairs) -> dict:
@@ -443,7 +430,7 @@ def lincomb(pairs) -> dict:
     ``{exponent: int}`` row, and a monomial ``c`` = a v^e is a
     shift-and-scale.  Only a ``c`` of several terms runs the double
     loop, straight into private rows.  Entries are keyed in order of
-    first touch, as in :func:`collect`.
+    first touch.
     """
     out: dict = {}
     for c, vec in pairs:

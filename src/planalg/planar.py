@@ -64,7 +64,7 @@ from .diagram import (
     star_matching,
     tensor_matched,
 )
-from .laurent import DELTA, Laurent, ONE, ZERO, addmul, collect, dot, lincomb
+from .laurent import DELTA, Laurent, ONE, ZERO, dot, lincomb
 from .table_algebra import TableAlgebra, index_tuple, tuple_index, tuple_mul
 from .verlinde import w_multiply
 
@@ -182,7 +182,7 @@ class Context:
     def from_text(self, text: str) -> "Element":
         """Parse the element format written by :meth:`Element.to_text`."""
         text = text.strip()
-        rows: dict = {}
+        pairs = []
         if text == "0":
             return self.zero()
         for raw in text.splitlines():
@@ -197,8 +197,8 @@ class Context:
                 k = self.index(d)
             except ValueError as exc:
                 raise ValueError(f"{exc}: {raw!r}") from None
-            addmul(rows, k, Laurent.parse(coeff_s))
-        return Element._raw(self, collect(rows))
+            pairs.append((1, {k: Laurent.parse(coeff_s)}))
+        return Element._raw(self, lincomb(pairs))
 
 
 def fuse(ctx: Context, segments, top: tuple, bottom: tuple) -> tuple:
@@ -455,7 +455,7 @@ def fusion_twist(x: Element) -> Element:
     """
     ctx = x.ctx
     alg = ctx.alg
-    rows: dict = {}
+    pairs = []
     for k, c in x.terms.items():
         matching, labels = ctx._decode(k)
         kinds = edge_kinds(matching)
@@ -463,8 +463,8 @@ def fusion_twist(x: Element) -> Element:
             w_multiply(alg, l) if kinds[p].transitional else l
             for p, l in zip(matching, labels)
         ]
-        addmul(rows, ctx._encode(matching, labels), c)
-    return Element._raw(ctx, collect(rows))
+        pairs.append((1, {ctx._encode(matching, labels): c}))
+    return Element._raw(ctx, lincomb(pairs))
 
 
 def tensor_elements(x: Element, y: Element, target: Context) -> Element:

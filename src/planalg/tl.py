@@ -30,7 +30,8 @@ the build.
 Elements are sparse dicts over positions in W_c, in the t-basis.  Bar
 descends from H (each generator of J is v^m times the bar-invariant
 C'_{w_st}) and is folded inside the quotient, bar(t_us) = bar(t_u)
-(q^-1 T_s + q^-1 - 1) (:meth:`TL.bar`).  Products fold the action
+(q^-1 T_s + q^-1 - 1), by the fold that serves H
+(:func:`planalg.hecke.bar_table`, :meth:`TL.bar`).  Products fold the action
 table too, one row per basis element: row k holds t_y T_us = (t_y
 T_u) T_s (y = wc[k]), filled along g.prefix on first read
 (:class:`PrefixTable`).  The product t_u t_w is row u read at w in W_c
@@ -92,7 +93,7 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
-    _Q, _QINV, Hecke, bar_apply, canonical_coords, canonical_step, from_unit,
+    _Q, Hecke, bar_apply, bar_table, canonical_coords, canonical_step, from_unit,
     hecke,
 )
 from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
@@ -263,8 +264,7 @@ class TL:
     @cached_property
     def _bar_table(self) -> list:
         """bar(t_w) = bar(t_u) (q^-1 T_s + q^-1 - 1) for w = us, by position."""
-        table = PrefixTable(self.g, self.one(), lambda x, u, s: lincomb(
-            ((_QINV, self.mul_gen(x, s)), (_QINV - ONE, x))))
+        table = bar_table(self)
         return [table[w] for w in self.wc]
 
     def bar(self, x: dict) -> dict:

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from planalg.coxeter import coxeter_group
-from planalg.hecke import Hecke, gen_step, hecke, ic_solve
+from planalg.hecke import Hecke, hecke, ic_solve
 from planalg.laurent import Laurent, ONE, V_INV, lincomb
+from planalg.tl import tl
 
 Q = Laurent.v_power(2)
 Q_INV = Laurent.v_power(-2)
@@ -197,19 +198,27 @@ def test_left_descent_scales_cprime(family, rank, m):
 
 @pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
 def test_one_pass_step_matches_full_product(family, rank, m):
-    """C'_s and bar(T_s) on the right, against Hecke.mul."""
+    """mul_gen against the defining rule summed term by term, and
+    against Hecke.mul by T_s; C'_s on the right against Hecke.mul."""
     g = coxeter_group(family, rank, m)
     h = hecke(g)
-    cprime_step = gen_step(V_INV, V_INV)
-    bar_step = gen_step(Q_INV, Q_INV - 1)
     for s in range(g.rank):
         ts = g.right[0][s]
         cs = h.cprime(ts)
-        bar_ts = {0: Q_INV - 1, ts: Q_INV}
         for w in range(g.order):
             x = h.cprime(w)
-            assert h.mul_step(x, s, cprime_step) == h.mul(x, cs)
-            assert h.mul_step(x, s, bar_step) == h.mul(x, bar_ts)
+            want: dict = {}
+            for y, c in x.items():
+                ys = g.right[y][s]
+                if g.lengths[ys] > g.lengths[y]:
+                    want[ys] = want.get(ys, 0) + c
+                else:
+                    want[ys] = want.get(ys, 0) + Q * c
+                    want[y] = want.get(y, 0) + (Q - 1) * c
+            got = h.mul_gen(x, s)
+            assert got == {y: c for y, c in want.items() if c}
+            assert got == h.mul(x, {ts: ONE})
+            assert h.mul(x, cs) == lincomb(((V_INV, got), (V_INV, x)))
 
 
 @pytest.mark.parametrize("family,rank,m", MEMO_GROUPS)
@@ -246,12 +255,31 @@ def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
     else:
         rise, drop = HECKE_MODULE._CPRIME_S
         if mutation == "v^-1 negated":
-            rise = (None, -rise[1])
+            rise = -rise
         else:
-            drop = (None, -drop[1])
+            drop = -drop
         monkeypatch.setattr(HECKE_MODULE, "_CPRIME_S", (rise, drop))
     g = coxeter_group(family, rank, m)
     h = Hecke(g)
     with pytest.raises(ArithmeticError, match="Kazhdan-Lusztig"):
         for w in range(g.order):
             h.cprime_unit(w)
+
+
+@pytest.mark.parametrize("family,rank,m", [("A", 3, 0), ("B", 3, 0), ("I", 2, 5)])
+def test_integer_coefficients_match_their_laurent_values(family, rank, m):
+    """Every rewritten loop takes a plain int coefficient as its Laurent."""
+    g = coxeter_group(family, rank, m)
+    h, q = hecke(g), tl(g)
+    rng = random.Random(5)
+    for _ in range(20):
+        ints = {rng.randrange(g.order): rng.choice([-2, -1, 1, 2, 3]) for _ in range(3)}
+        laurents = {k: Laurent(c) for k, c in ints.items()}
+        other = {rng.randrange(g.order): rng.choice([-1, 2]) for _ in range(2)}
+        for s in range(g.rank):
+            assert h.mul_gen(ints, s) == h.mul_gen(laurents, s)
+        assert h.mul(ints, other) == h.mul(laurents, {k: Laurent(c) for k, c in other.items()})
+        assert h.mul({0: 2}, h.one()) == {0: Laurent(2)}
+        assert h.to_cprime(ints) == h.to_cprime(laurents)
+        tints = {rng.randrange(q.rank): rng.choice([-2, 1, 2]) for _ in range(3)}
+        assert q.to_canonical(tints) == q.to_canonical({k: Laurent(c) for k, c in tints.items()})

@@ -15,7 +15,6 @@ from planalg.laurent import (
     V_INV,
     ZERO,
     addmul,
-    collect,
     dot,
     lincomb,
     take,
@@ -197,11 +196,18 @@ def _clean(x):
     return all(x._c.values()) and x == fresh and hash(x) == hash(fresh)
 
 
+def _take_all(rows):
+    """Every row, taken, without the zero ones; rows is left empty."""
+    out = {k: take(rows, k) for k in list(rows)}
+    assert not rows
+    return {k: c for k, c in out.items() if c}
+
+
 @given(kernel_ops, st.booleans())
-def test_collect_matches_naive_sums(ops, cancel):
+def test_take_all_matches_naive_sums(ops, cancel):
     if cancel:  # append the negation of every term: all rows cancel
         ops = ops + [(k, -a, b) for k, a, b in ops]
-    got = collect(_accumulate(ops))
+    got = _take_all(_accumulate(ops))
     assert got == _naive(ops)
     assert all(c and _clean(c) for c in got.values())
     if cancel:
@@ -227,9 +233,9 @@ def test_kernel_never_mutates_its_inputs(ops, more):
 
     before = snapshot(ops + more)
     rows = _accumulate(ops)
-    got = collect(rows)
+    got = {k: take(rows, k) for k in "bc"}
     kept = {k: c._c.copy() for k, c in got.items()}
-    _accumulate(more + ops, rows)  # the rows stay private after collect
+    _accumulate(more + ops, rows)  # a taken row is no longer private
     taken = take(rows, "a")
     addmul(rows, "a", taken, 2)
     assert snapshot(ops + more) == before
@@ -240,15 +246,18 @@ def test_kernel_never_mutates_its_inputs(ops, more):
 
 @given(kernel_ops)
 def test_factor_one_adds_alone(ops):
-    # The integer factor 1 (Element.__add__, TL.add) takes the add-only
-    # path; it must agree with no factor and with the Laurent factor 1.
+    # An integer factor is read as its Laurent, and the factor 1 agrees
+    # with no factor at all.
     ones = [(k, a, 1) for k, a, _ in ops]
-    got = collect(_accumulate(ones))
-    assert got == collect(_accumulate([(k, a, None) for k, a, _ in ops]))
-    assert got == collect(_accumulate([(k, a, ONE) for k, a, _ in ops]))
+    got = _take_all(_accumulate(ones))
+    assert got == _take_all(_accumulate([(k, a, None) for k, a, _ in ops]))
+    assert got == _take_all(_accumulate([(k, a, ONE) for k, a, _ in ops]))
     assert got == _naive(ones)
     assert all(_clean(c) for c in got.values())
     assert lincomb((1, {k: a}) for k, a, _ in ops) == got
+    twos = [(k, a, -2) for k, a, _ in ops]
+    assert _take_all(_accumulate(twos)) == _take_all(_accumulate(
+        [(k, a, Laurent(-2)) for k, a, _ in ops]))
 
 
 monomials = st.builds(lambda a, e: Laurent({e: a}),

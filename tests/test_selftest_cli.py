@@ -103,6 +103,15 @@ def test_basis_sizes():
     assert proc.stdout.splitlines()[0] == "size=51"
 
 
+def test_basis_help_texts():
+    # dbasis lists the exposed sub-basis, not the whole basis.
+    helps = {line.split()[0]: " ".join(line.split()[1:])
+             for line in run_cli("--help").stdout.splitlines()
+             if line.startswith("    ") and line.split()[0] in ("basis", "dbasis")}
+    assert helps == {"basis": "list basis diagrams",
+                     "dbasis": "list the exposed sub-basis D(n, r)"}
+
+
 def test_omega_moves_plain_cap():
     proc = run_cli("omega", "--n", "2", "--verlinde", "3",
                    stdin="1 * n=2 | 1-2:0 3-4:0\n")

@@ -4,6 +4,7 @@ operation writes into a cached Laurent."""
 import random
 
 from planalg.coxeter import coxeter_group
+from planalg.hecke import hecke
 from planalg.laurent import Laurent
 from planalg.planar import Context, Element, fusion_twist
 from planalg.tabular import datum_build
@@ -76,13 +77,39 @@ def _mixed_stream(ctx, q, rng, rounds: int) -> list:
     return out
 
 
+def _text(x: dict) -> str:
+    return repr(sorted((k, str(c)) for k, c in x.items()))
+
+
+def _hecke_stream(h, rng, rounds: int) -> list:
+    """Hecke products, bar, C'-coordinates, C'_w and P_{y,w}; returns
+    every result as text."""
+    order, out = h.g.order, []
+    for _ in range(rounds):
+        x, y = ({rng.randrange(order): _random_coeff(rng) for _ in range(2)}
+                for _ in range(2))
+        xy, w = h.mul(x, y), rng.randrange(order)
+        out += [_text(xy), _text(h.bar(xy)), _text(h.to_cprime(xy)), _text(h.cprime(w)),
+                str(h.kl_polynomial(rng.randrange(order), w))]
+    return out
+
+
 def test_no_operation_mutates_a_cached_coefficient():
     ctx, q = Context(3, make_verlinde(3)), tl(coxeter_group("B", 3))
+    h = hecke(coxeter_group("B", 3))
+    for w in range(h.g.order):  # fill both Hecke tables
+        h.bar_t(w), h.cprime_unit(w)
     first = _mixed_stream(ctx, q, random.Random(7), 150)
-    snapshot = [(c, dict(c._c)) for c in _cached_coefficients(ctx, q)]
-    assert len(snapshot) > 1_000
+    first_h = _hecke_stream(h, random.Random(7), 150)
+    hecke_cached = [c for table in (h._bar_table, h._canonical_table)
+                    for row in table.values() for c in row.values()]
+    assert len(hecke_cached) > 1_000
+    snapshot = [(c, dict(c._c)) for c in _cached_coefficients(ctx, q) + hecke_cached]
+    assert len(snapshot) > 2_000
     again = _mixed_stream(ctx, q, random.Random(7), 150)
+    again_h = _hecke_stream(h, random.Random(7), 150)
     _mixed_stream(ctx, q, random.Random(8), 150)
-    assert again == first
+    _hecke_stream(h, random.Random(8), 150)
+    assert again == first and again_h == first_h
     changed = [(before, c._c) for c, before in snapshot if c._c != before]
     assert not changed, changed[:3]
