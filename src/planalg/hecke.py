@@ -207,9 +207,7 @@ class Hecke:
 
     # -- bar involution ---------------------------------------------------
 
-    @cached_property
-    def _bar_table(self) -> PrefixTable:
-        return bar_table(self)
+    _bar_table = cached_property(bar_table)
 
     def bar_t(self, w: int) -> dict:
         """bar(T_w) in the T-basis."""

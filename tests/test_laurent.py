@@ -235,7 +235,7 @@ def test_kernel_never_mutates_its_inputs(ops, more):
     rows = _accumulate(ops)
     got = {k: take(rows, k) for k in "bc"}
     kept = {k: c._c.copy() for k, c in got.items()}
-    _accumulate(more + ops, rows)  # a taken row is no longer private
+    _accumulate(more + ops, rows)  # reopens rows b and c; got must not change
     taken = take(rows, "a")
     addmul(rows, "a", taken, 2)
     assert snapshot(ops + more) == before
