@@ -56,8 +56,8 @@ def _refuse_rank(flag: str, rank: int) -> None:
 def _context(args, enumerates: bool = False) -> Context:
     """The context named by the flags; refused before it is made when n
     exceeds MAX_N, before its label algebra is built or checked when the
-    rank exceeds MAX_RANK, or when ``enumerates`` and the basis exceeds
-    MAX_DIAGRAMS."""
+    rank is below 1 or exceeds MAX_RANK, or when ``enumerates`` and the
+    basis exceeds MAX_DIAGRAMS."""
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.n > MAX_N:
@@ -76,6 +76,8 @@ def _context(args, enumerates: bool = False) -> Context:
                 f"--algebra {args.algebra}: fails {flag}: {report.witnesses[0]}"
             )
     elif args.verlinde:
+        if args.verlinde < 1:
+            raise UsageError(f"--verlinde {args.verlinde}: needs r >= 1")
         _refuse_rank(f"--verlinde {args.verlinde}", args.verlinde)
         alg = make_verlinde(args.verlinde)
     else:

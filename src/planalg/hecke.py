@@ -33,10 +33,12 @@ the C'_w table fill on first read (:class:`PrefixTable`); C'_w never
 reads bar.
 
 :func:`ic_solve` finds the same basis the other way, by inverting a
-bar table by back-substitution.  No library path calls it: it is the
+bar table one length at a time.  No library path calls it: it is the
 oracle the tests hold the recursion to.  :func:`bar_apply` applies bar
-through a table, :func:`canonical_coords` and :func:`from_unit`
-convert coordinates.
+through a table.  Since c_y is e_y plus terms on shorter elements, each
+b_y has a finite canonical expansion, one lincomb over those of shorter
+elements (:class:`CanonicalInverse`), and :func:`canonical_coords` is
+one lincomb over these rows; :func:`from_unit` leaves unit coordinates.
 
 >>> h = hecke(coxeter_group("A", 2))
 >>> h.mul(h.t(1), h.t(1)) == {0: Laurent("v^2"), 1: Laurent("v^2 - 1")}
@@ -50,7 +52,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
-from .laurent import Laurent, ONE, V, V_INV, ZERO, addmul, lincomb, take
+from .laurent import Laurent, ONE, V, V_INV, ZERO, lincomb
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
@@ -98,41 +100,42 @@ def ic_solve(bar_table: list, lengths) -> list:
     """The canonical basis by inverting a bar table: the oracle for the recursion.
 
     bar_table[y] is bar(b_y) in the b-basis over 0..len(bar_table)-1,
-    ordered so that bar only mixes an element with strictly earlier
-    ones, and lengths[y] is l(y).  In unit coordinates e_y = v^{-l(y)} b_y,
-    bar(e_y) = sum_z v^{l(y)+l(z)} bar_table[y][z] e_z is unitriangular.
+    lengths[y] is l(y), and bar mixes b_y only with strictly shorter b_z.
+    In unit coordinates e_y = v^{-l(y)} b_y, bar(e_y) = e_y + sum over
+    z != y of R[y][z] e_z with R[y][z] = v^{l(y)+l(z)} bar_table[y][z].
     For each w the solver returns the coordinates p of the unique
     c_w = sum_y p[y] e_y with bar(c_w) = c_w, p[w] = 1, and all other
-    p[y] in v^-1 Z[v^-1], by back-substitution.  Raises ArithmeticError
-    if a correction term is not bar-antisymmetric, which would falsify
-    unitriangularity.
+    p[y] in v^-1 Z[v^-1].  At each z, p[z] - bar(p[z]) = k[z], the sum
+    of bar(p[y]) R[y][z] over longer y, so p is found one length at a
+    time from l(w) down: one lincomb per length adds the rows of the
+    level above into k, and p[z] is the negative part of k[z].  Raises
+    ArithmeticError if a row has a term not shorter than its own element,
+    so that a level would feed its own length, or if some k[z] is not
+    bar-antisymmetric, which would falsify unitriangularity.
     """
-    rows = [{z: c.shift(ly + lengths[z]) for z, c in row.items()}
-            for row, ly in zip(bar_table, lengths)]
+    rows = [{z: c.shift(ly + lengths[z]) for z, c in row.items() if z != y}
+            for y, (row, ly) in enumerate(zip(bar_table, lengths))]
+    levels = [[] for _ in range(max(lengths, default=-1) + 1)]
+    for y, row in enumerate(rows):
+        if any(lengths[z] >= lengths[y] for z in row):
+            raise ArithmeticError(f"bar(b_{y}) feeds its own length: {bar_table[y]}")
+        levels[lengths[y]].append(y)
     table = []
-    for w, row in enumerate(rows):
-        p = {w: ONE}
-        correction: dict = {}
-        for z, c in row.items():
-            if z != w:
-                addmul(correction, z, c)
-        for z in range(w - 1, -1, -1):
-            # bar only mixes z with earlier elements, so row z is final.
-            kz = take(correction, z)
-            if not kz:
-                continue
-            if not kz.is_bar_antisymmetric():
-                raise ArithmeticError(
-                    f"correction at ({w}, {z}) is not bar-antisymmetric: {kz}"
-                )
-            pz = kz.negative_part()
-            if not pz:
-                continue
-            p[z] = pz
-            bz = pz.bar()
-            for zz, c in rows[z].items():
-                if zz != z:
-                    addmul(correction, zz, bz, c)
+    for w, lw in enumerate(lengths):
+        p, fed, k = {w: ONE}, [w], {}
+        for level in reversed(levels[:lw]):
+            k = lincomb([(1, k), *((p[y].bar(), rows[y]) for y in fed)])
+            fed = []
+            for z in level:
+                kz = k.get(z)
+                if kz is None:
+                    continue
+                if not kz.is_bar_antisymmetric():
+                    raise ArithmeticError(
+                        f"correction at ({w}, {z}) is not bar-antisymmetric: {kz}")
+                if pz := kz.negative_part():
+                    p[z] = pz
+                    fed.append(z)
         table.append(p)
     return table
 
@@ -145,27 +148,37 @@ def bar_apply(bar_table: list, x: dict) -> dict:
     )
 
 
-def canonical_coords(x: dict, lengths, table, basis) -> dict:
-    """Coordinates of x (in the b-basis) in the canonical basis.
+class CanonicalInverse(dict):
+    """b_y in the canonical basis, by coordinate y, filled on first read.
 
-    Triangular back-substitution from the longest element down;
-    table[basis[y]] is c_y in unit coordinates, read only for the y
-    that x needs.
+    table[basis[y]] is c_y in unit coordinates e_z = v^{-l(z)} b_z, and
+    c_y is e_y plus terms on strictly shorter z (Green and Losonczy), so
+
+        b_y = v^{l(y)} c_y - sum over z != y of v^{l(y)-l(z)} c_y[z] b_z
+
+    is one lincomb over the rows of shorter elements, read on demand.
+    Raises ArithmeticError on a term of c_y at z != y that is not
+    shorter than y.  Rows are shared, like the table's values, and
+    must not be mutated.
     """
-    # Each private row is a fresh dict: the shift by v^{l(y)}, with no
-    # product, and never the _c of a caller's Laurent.
-    unit = {y: {e + lengths[y]: a for e, a in Laurent(c)._c.items()} for y, c in x.items()}
-    out: dict = {}
-    for y in range(len(basis) - 1, -1, -1):
-        c = take(unit, y)
-        if not c:
-            continue
-        out[y] = c
-        neg = -c
-        for z, d in table[basis[y]].items():
-            if z != y:
-                addmul(unit, z, neg, d)
-    return out
+
+    def __init__(self, lengths, table: PrefixTable, basis):
+        super().__init__()
+        self.lengths, self.table, self.basis = lengths, table, basis
+
+    def __missing__(self, y: int) -> dict:
+        lengths, ly, cy = self.lengths, self.lengths[y], self.table[self.basis[y]]
+        if any(lengths[z] >= ly for z in cy if z != y):
+            raise ArithmeticError(
+                f"c_{self.table.g.word(self.basis[y])} has a term not shorter than it: {cy}")
+        got = self[y] = lincomb([(Laurent.v_power(ly), {y: ONE}), *(
+            (-c.shift(ly - lengths[z]), self[z]) for z, c in cy.items() if z != y)])
+        return got
+
+
+def canonical_coords(x: dict, inverse: CanonicalInverse) -> dict:
+    """Coordinates of x (in the b-basis) in the canonical basis."""
+    return lincomb((c, inverse[y]) for y, c in x.items())
 
 
 def from_unit(x: dict, lengths) -> dict:
@@ -254,9 +267,14 @@ class Hecke:
         """
         return from_unit(self.cprime_unit(w), self.g.lengths)
 
+    @cached_property
+    def _inverse(self) -> CanonicalInverse:
+        """T_y in the C'-basis, by group element, on first read."""
+        return CanonicalInverse(self.g.lengths, self._canonical_table, range(self.g.order))
+
     def to_cprime(self, x: dict) -> dict:
-        """Coordinates of x in the C'-basis (triangular substitution)."""
-        return canonical_coords(x, self.g.lengths, self._canonical_table, range(self.g.order))
+        """Coordinates of x in the C'-basis."""
+        return canonical_coords(x, self._inverse)
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:
         """The polynomial P_{y,w} in q = v^2 (zero when y is not below w)."""

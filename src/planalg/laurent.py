@@ -10,41 +10,22 @@ refused with ``TypeError`` rather than truncated.
 
 Sparse combinations ``sum_k c_k x_k`` of vectors ``{key: Laurent}`` are
 built by :func:`lincomb` from the ``(c_k, x_k)`` pairs, and scalar sums
-``sum_k a_k b_k`` by :func:`dot`.  Loops that read or take a row while
-the combination is still being built (:func:`dot` itself and the
-back-substitutions ``canonical_coords`` and ``ic_solve``) run on an
-accumulation kernel instead.  The kernel replaces
+``sum_k a_k b_k`` by :func:`dot`.  Both accumulate into fresh private
+``{exponent: int}`` dicts in place, instead of
 ``acc[k] = acc.get(k) + c * d``, which would allocate a product, copy
-the accumulated dict and wrap it again for every term.
-A combination under construction is a dict
-``rows = {key: {exponent: int}}`` of *private rows*:
-
-* :func:`addmul` adds ``a * b`` (or ``a`` alone) into ``rows[key]`` in
-  place;
-* :func:`take` removes one row and returns it as a clean ``Laurent``.
-
-Rows may hold zero coefficients (and may be empty) while they are
-being built; ``take`` strips them, so every ``Laurent`` that leaves the
-kernel has no zero entry, which ``==`` and ``hash`` rely on.  The
-kernel reads its operands and never mutates them, so shared constants
-such as ``ONE``, ``ZERO`` and ``DELTA`` stay intact.
-A value that :func:`lincomb` returns may be the very ``Laurent`` passed
-in (a key met once, with coefficient 1), not a copy.  That is safe
-because a ``Laurent`` is immutable: nothing in the package writes a
-``Laurent``'s ``_c`` after it is made, and a private row is always a
-fresh dict, never the ``_c`` of a ``Laurent``.
+the accumulated dict and wrap it again for every term, and both strip
+zero coefficients before a result leaves them, so every ``Laurent`` they
+return is clean, which ``==`` and ``hash`` rely on.  Neither mutates its
+operands, so shared constants such as ``ONE``, ``ZERO`` and ``DELTA``
+stay intact.  A value that :func:`lincomb` returns may be the very
+``Laurent`` passed in (a key met once, with coefficient 1), not a copy.
+That is safe because a ``Laurent`` is immutable: nothing in the package
+writes a ``Laurent``'s ``_c`` after it is made, and a private dict is
+never the ``_c`` of a ``Laurent``.
 
 >>> p = V + 1
 >>> lincomb([(1, {"x": p})])["x"] is p
 True
-
->>> rows = {}
->>> addmul(rows, "x", V, DELTA)
->>> addmul(rows, "x", ONE, -1)
->>> addmul(rows, "y", V)
->>> addmul(rows, "y", V, -1)
->>> take(rows, "x"), take(rows, "y"), rows
-(Laurent('v^2'), Laurent('0'), {})
 
 Also defined here is the quadratic field Q(sqrt 2), used by the rank-3
 to rank-2 fusion homomorphism.
@@ -374,40 +355,7 @@ def vneg_congruent(a, b) -> bool:
     )
 
 
-# -- the accumulation kernel ----------------------------------------------------
-
-
-def addmul(rows: dict, key, a, b=None) -> None:
-    """Add ``a * b`` into the private row ``rows[key]``, in place.
-
-    ``a`` and ``b`` are Laurents or integers, and a ``b`` of None adds
-    ``a`` alone.  Neither operand is modified.
-    """
-    row = rows.get(key)
-    if row is None:
-        row = rows[key] = {}
-    if type(a) is not Laurent:
-        a = Laurent(a)
-    get = row.get
-    if b is None:
-        for e, x in a._c.items():
-            row[e] = get(e, 0) + x
-        return
-    if type(b) is not Laurent:
-        b = Laurent(b)
-    terms = b._c.items()
-    for e1, x1 in a._c.items():
-        for e2, x2 in terms:
-            e = e1 + e2
-            row[e] = get(e, 0) + x1 * x2
-
-
-def take(rows: dict, key) -> Laurent:
-    """Remove the row ``rows[key]`` and return it as a clean Laurent."""
-    row = rows.pop(key, None)
-    if not row:
-        return ZERO
-    return Laurent._raw({e: x for e, x in row.items() if x})
+# -- sparse sums ----------------------------------------------------------------
 
 
 def lincomb(pairs) -> dict:
@@ -421,16 +369,14 @@ def lincomb(pairs) -> dict:
     >>> lincomb([(2, {"x": ONE, "y": V}), (V, {"x": V_INV, "y": -2})])
     {'x': Laurent('3')}
 
-    The loop is written out here rather than calling :func:`addmul`
-    once per term.  Most combinations are short (a product row has one
-    to four terms per coefficient and most keys are met once), so the
-    cost is per call and per key, not per coefficient: a key's first
-    term is stored as a ``Laurent`` (the value itself when ``c`` is 1,
-    else one scaled copy), only its second term opens a private
-    ``{exponent: int}`` row, and a monomial ``c`` = a v^e is a
-    shift-and-scale.  Only a ``c`` of several terms runs the double
-    loop, straight into private rows.  Entries are keyed in order of
-    first touch.
+    Most combinations are short (a product row has one to four terms per
+    coefficient and most keys are met once), so the cost is per call and
+    per key, not per coefficient: a key's first term is stored as a
+    ``Laurent`` (the value itself when ``c`` is 1, else one scaled copy),
+    only its second term opens a private ``{exponent: int}`` row, and a
+    monomial ``c`` = a v^e is a shift-and-scale.  Only a ``c`` of several
+    terms runs the double loop, straight into private rows.  Entries are
+    keyed in order of first touch.
     """
     out: dict = {}
     for c, vec in pairs:
@@ -497,10 +443,21 @@ def dot(pairs) -> Laurent:
     >>> dot([(V, V_INV), (2, DELTA), (-1, ONE)])
     Laurent('2v + 2v^-1')
     """
-    rows: dict = {}
+    acc: dict = {}
+    get = acc.get
     for a, b in pairs:
-        addmul(rows, 0, a, b)
-    return take(rows, 0)
+        if type(a) is not Laurent:
+            a = Laurent(a)
+        if type(b) is not Laurent:
+            b = Laurent(b)
+        terms = b._c.items()
+        for e1, x1 in a._c.items():
+            for e2, x2 in terms:
+                e = e1 + e2
+                acc[e] = get(e, 0) + x1 * x2
+    if not acc:
+        return ZERO
+    return Laurent._raw({e: x for e, x in acc.items() if x})
 
 
 class QSqrt2:

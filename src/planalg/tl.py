@@ -93,8 +93,8 @@ from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
-    _Q, Hecke, bar_apply, bar_table, canonical_coords, canonical_step, from_unit,
-    hecke,
+    _Q, CanonicalInverse, Hecke, bar_apply, bar_table, canonical_coords, canonical_step,
+    from_unit, hecke,
 )
 from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
 
@@ -332,9 +332,14 @@ class TL:
             hit = self._canonical_t[w] = from_unit(self.canonical_unit(w), self.lengths)
         return hit
 
+    @cached_property
+    def _inverse(self) -> CanonicalInverse:
+        """t_y in the canonical basis, by position, on first read."""
+        return CanonicalInverse(self.lengths, self._canonical_table, self.wc)
+
     def to_canonical(self, x: dict) -> dict:
         """Coordinates of x in the canonical basis, keyed by position."""
-        return canonical_coords(x, self.lengths, self._canonical_table, self.wc)
+        return canonical_coords(x, self._inverse)
 
     def cross_check_canonical(self) -> bool:
         """theta(C'_w) equals c_w for every fully commutative w."""

@@ -1,5 +1,7 @@
 """Diagram realizations of the generalized Temperley-Lieb algebras."""
 
+import copy
+
 import pytest
 
 from planalg import (
@@ -16,6 +18,7 @@ from planalg import (
 from planalg.diagram import LabeledDiagram
 from planalg.embed import is_b_admissible, is_h_admissible, is_i_admissible
 from planalg.hecke import from_unit
+from planalg.laurent import V, lincomb
 from planalg.planar import fusion_twist, is_exposed
 
 
@@ -169,9 +172,33 @@ def test_h4_canonical_images_are_the_admissible_set():
 
 
 def test_rho_is_multiplicative():
-    for args in (("A", "A", 2, 0), ("I", "I", 2, 4)):
-        rep = rho_build(*args[:3], m=args[3])
-        assert rep.embedding.verify_multiplicative()
+    # The scan over every basis pair is the oracle for the generator
+    # certificate of verify_multiplicative.
+    for args in (("A", "A", 2, 0), ("I", "I", 2, 4), ("B", "B", 3, 0)):
+        emb = rho_build(*args[:3], m=args[3]).embedding
+        assert emb.verify_multiplicative()
+        q = emb.tl
+        for ku, u in enumerate(q.wc):
+            for kw, w in enumerate(q.wc):
+                assert emb.t_image(u) * emb.t_image(w) == emb.rho(q.t_mul(ku, kw))
+
+
+@pytest.mark.parametrize("mutation", ["action row", "t_image entry"])
+@pytest.mark.parametrize("variant,family,rank,m", [
+    ("A", "A", 3, 0), ("B", "B", 3, 0), ("H", "H", 3, 0), ("I", "I", 2, 5),
+])
+def test_corrupted_multiplicativity_certificate_is_refused(variant, family, rank, m, mutation):
+    emb = rho_build(variant, family, rank, m=m).embedding
+    q, k = emb.tl, emb.tl.rank - 1
+    if mutation == "action row":
+        # A copy, so the cached quotient keeps its table.
+        emb.tl = copy.copy(q)
+        emb.tl._act = [list(rows) for rows in q._act]
+        emb.tl._act[k][0] = lincomb(((-1, q._act[k][0]),))
+    else:
+        emb._timage[q.wc[k]] = emb.t_image(q.wc[k]).scale(V)
+    with pytest.raises(AssertionError, match="not multiplicative"):
+        emb.verify_multiplicative()
 
 
 def test_monomial_images_match_canonical_type_a():

@@ -120,6 +120,13 @@ def test_to_cprime_round_trip(a3):
         assert {y: c for y, c in back.items() if c} == x
 
 
+@pytest.mark.parametrize("family,rank,m", [("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5)])
+def test_cprime_elements_have_unit_coordinates(family, rank, m):
+    h = hecke(coxeter_group(family, rank, m))
+    for w in range(h.g.order):
+        assert h.to_cprime(h.cprime(w)) == {w: ONE}
+
+
 def test_kl_census_in_rank_three(a3):
     """Every basis coefficient in A_3, collected as polynomials in q."""
     g = a3.g

@@ -14,10 +14,8 @@ from planalg.laurent import (
     V,
     V_INV,
     ZERO,
-    addmul,
     dot,
     lincomb,
-    take,
     vneg_congruent,
 )
 
@@ -167,97 +165,15 @@ def test_non_integers_are_refused_not_truncated():
         Laurent.v_power(1.5)
 
 
-# -- the accumulation kernel ---------------------------------------------------
+# -- lincomb and dot ------------------------------------------------------------
 
 operands = st.one_of(laurents, st.sampled_from([ZERO, ONE, V, DELTA]))
-factors = st.one_of(st.none(), st.integers(-3, 3), operands)
-kernel_ops = st.lists(
-    st.tuples(st.sampled_from("abc"), operands, factors), max_size=8
-)
-
-
-def _naive(ops):
-    out = {}
-    for key, a, b in ops:
-        out[key] = out.get(key, ZERO) + (a if b is None else a * b)
-    return {k: c for k, c in out.items() if c}
-
-
-def _accumulate(ops, rows=None):
-    rows = {} if rows is None else rows
-    for key, a, b in ops:
-        addmul(rows, key, a, b)
-    return rows
 
 
 def _clean(x):
     """No zero coefficient, and == / hash agree with a fresh copy."""
     fresh = Laurent(dict(x._c))
     return all(x._c.values()) and x == fresh and hash(x) == hash(fresh)
-
-
-def _take_all(rows):
-    """Every row, taken, without the zero ones; rows is left empty."""
-    out = {k: take(rows, k) for k in list(rows)}
-    assert not rows
-    return {k: c for k, c in out.items() if c}
-
-
-@given(kernel_ops, st.booleans())
-def test_take_all_matches_naive_sums(ops, cancel):
-    if cancel:  # append the negation of every term: all rows cancel
-        ops = ops + [(k, -a, b) for k, a, b in ops]
-    got = _take_all(_accumulate(ops))
-    assert got == _naive(ops)
-    assert all(c and _clean(c) for c in got.values())
-    if cancel:
-        assert got == {}
-
-
-@given(kernel_ops)
-def test_take_matches_naive_and_removes_the_row(ops):
-    rows = _accumulate(ops)
-    want = _naive(ops)
-    for key in "abc":
-        got = take(rows, key)
-        assert got == want.get(key, ZERO) and _clean(got)
-        assert key not in rows
-    assert take(rows, "a") == ZERO
-
-
-@given(kernel_ops, kernel_ops)
-def test_kernel_never_mutates_its_inputs(ops, more):
-    def snapshot(items):
-        return [(a._c.copy(), b._c.copy() if isinstance(b, Laurent) else b)
-                for _, a, b in items]
-
-    before = snapshot(ops + more)
-    rows = _accumulate(ops)
-    got = {k: take(rows, k) for k in "bc"}
-    kept = {k: c._c.copy() for k, c in got.items()}
-    _accumulate(more + ops, rows)  # reopens rows b and c; got must not change
-    taken = take(rows, "a")
-    addmul(rows, "a", taken, 2)
-    assert snapshot(ops + more) == before
-    assert {k: c._c for k, c in got.items()} == kept
-    assert taken == _naive(ops + more + ops).get("a", ZERO)
-    assert (ZERO._c, ONE._c, V._c, DELTA._c) == ({}, {0: 1}, {1: 1}, {1: 1, -1: 1})
-
-
-@given(kernel_ops)
-def test_factor_one_adds_alone(ops):
-    # An integer factor is read as its Laurent, and the factor 1 agrees
-    # with no factor at all.
-    ones = [(k, a, 1) for k, a, _ in ops]
-    got = _take_all(_accumulate(ones))
-    assert got == _take_all(_accumulate([(k, a, None) for k, a, _ in ops]))
-    assert got == _take_all(_accumulate([(k, a, ONE) for k, a, _ in ops]))
-    assert got == _naive(ones)
-    assert all(_clean(c) for c in got.values())
-    assert lincomb((1, {k: a}) for k, a, _ in ops) == got
-    twos = [(k, a, -2) for k, a, _ in ops]
-    assert _take_all(_accumulate(twos)) == _take_all(_accumulate(
-        [(k, a, Laurent(-2)) for k, a, _ in ops]))
 
 
 monomials = st.builds(lambda a, e: Laurent({e: a}),
@@ -348,6 +264,9 @@ def test_dot_matches_naive_sums(pairs, cancel):
 
 def test_dot_edge_cases():
     assert dot([]) == dot(iter(())) == ZERO
+    # An empty sum and an all-cancelling sum are both a clean zero.
+    for zero in (dot([]), dot([(V, DELTA), (-1, V * DELTA)]), dot([(2, V), (V, -2)])):
+        assert zero == ZERO and zero._c == {} and _clean(zero)
     got = dot([(ONE, 1)])
     assert got == ONE and got is not ONE
 

@@ -179,6 +179,11 @@ def test_conjecture_exit_zero():
     (("basis", "--n", "1", "--algebra", Z33_FILE), ""),
     # refused from a bound on its terms, before the product is formed
     (("mul", "--n", "9", "--verlinde", "8"), U3_9 + "--\n" + U3_9),
+    # refused from a rank below 1, before the label algebra is built
+    (("basis", "--n", "2", "--verlinde", "-1"), ""),
+    (("axioms", "--n", "2", "--verlinde", "-1"), ""),
+    (("mul", "--n", "2", "--verlinde", "-1"), IDENTITY_2 + "--\n" + IDENTITY_2),
+    (("trace", "--n", "2", "--verlinde", "-3"), IDENTITY_2),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"

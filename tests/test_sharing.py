@@ -50,6 +50,7 @@ def _cached_coefficients(ctx, q) -> list:
     out += [c for row in q._rows for entry in row.values() for c in entry.values()]
     out += q._coeffs.values()
     out += [c for cw in q._canonical_t.values() for c in cw.values()]
+    out += [c for row in q._inverse.values() for c in row.values()]
     return out
 
 
@@ -97,13 +98,15 @@ def _hecke_stream(h, rng, rounds: int) -> list:
 def test_no_operation_mutates_a_cached_coefficient():
     ctx, q = Context(3, make_verlinde(3)), tl(coxeter_group("B", 3))
     h = hecke(coxeter_group("B", 3))
-    for w in range(h.g.order):  # fill both Hecke tables
-        h.bar_t(w), h.cprime_unit(w)
+    for w in range(h.g.order):  # fill the Hecke tables and every inverse row
+        h.bar_t(w), h.cprime_unit(w), h.to_cprime({w: 1})
+    for k in range(q.rank):
+        q.to_canonical({k: 1})
     first = _mixed_stream(ctx, q, random.Random(7), 150)
     first_h = _hecke_stream(h, random.Random(7), 150)
     snapshot = [(c, dict(c._c)) for c in _cached_coefficients(ctx, q)]
     assert len(snapshot) > 1_000
-    hecke_cached = [c for table in (h._bar_table, h._canonical_table)
+    hecke_cached = [c for table in (h._bar_table, h._canonical_table, h._inverse)
                     for row in table.values() for c in row.values()]
     assert len(hecke_cached) > 1_000
     snapshot += [(c, dict(c._c)) for c in hecke_cached]

@@ -329,6 +329,48 @@ def test_to_canonical_round_trip():
         assert {z: c for z, c in back.items() if c} == x
 
 
+@pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
+def test_canonical_elements_have_unit_coordinates(family, rank, m):
+    q = tl(coxeter_group(family, rank, m))
+    for w in q.wc:
+        assert q.to_canonical(q.canonical_t(w)) == {q.pos[w]: ONE}
+
+
+def _move_a_term(rows, lengths):
+    """(y, a copy of rows) with one term of the first row y that has a
+    term off y moved onto another element of y's length."""
+    rows = list(rows)
+    for y, row in enumerate(rows):
+        same = [k for k, ly in enumerate(lengths) if ly == lengths[y] and k != y]
+        off = [z for z in row if z != y]
+        if same and off:
+            rows[y] = {k: c for k, c in row.items() if k != off[0]}
+            rows[y][same[0]] = row[off[0]]
+            return y, rows
+    raise AssertionError("no row to alter")
+
+
+@pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES)
+def test_a_term_on_the_same_length_is_refused(family, rank, m):
+    """c_y is e_y plus terms on shorter elements, and bar(b_y) is b_y plus
+    terms on shorter elements: the inverse rows and ic_solve refuse a
+    term moved onto an element of y's own length."""
+    g = coxeter_group(family, rank, m)
+    q, h = TL_MODULE.TL(g), Hecke(g)
+    y, units = _move_a_term([q.canonical_unit(w) for w in q.wc], q.lengths)
+    q._canonical_table[q.wc[y]] = units[y]
+    with pytest.raises(ArithmeticError, match="not shorter"):
+        q.to_canonical({y: ONE})
+    y, units = _move_a_term([h.cprime_unit(w) for w in range(g.order)], g.lengths)
+    h._canonical_table[y] = units[y]
+    with pytest.raises(ArithmeticError, match="not shorter"):
+        h.to_cprime({y: ONE})
+    for table, lengths in ((q._bar_table, q.lengths),
+                           ([h.bar_t(w) for w in range(g.order)], g.lengths)):
+        with pytest.raises(ArithmeticError, match="feeds its own length"):
+            ic_solve(_move_a_term(table, lengths)[1], lengths)
+
+
 @pytest.mark.parametrize("family,rank,m", [
     ("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5),
 ])
