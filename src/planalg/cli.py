@@ -55,13 +55,16 @@ def _refuse_rank(flag: str, rank: int) -> None:
 
 def _context(args, enumerates: bool = False) -> Context:
     """The context named by the flags; refused before it is made when n
-    exceeds MAX_N, before its label algebra is built or checked when the
-    rank is below 1 or exceeds MAX_RANK, or when ``enumerates`` and the
-    basis exceeds MAX_DIAGRAMS."""
+    exceeds MAX_N or when both --verlinde and --algebra are given, before
+    its label algebra is built or checked when the rank is below 1 or
+    exceeds MAX_RANK, or when ``enumerates`` and the basis exceeds
+    MAX_DIAGRAMS."""
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.n > MAX_N:
         raise UsageError(f"--n {args.n}: context commands support n up to {MAX_N}")
+    if args.algebra is not None and args.verlinde is not None:
+        raise UsageError("give one of --verlinde <r> and --algebra <file>, not both")
     if args.algebra:
         try:
             with open(args.algebra, encoding="ascii") as fh:
@@ -75,7 +78,7 @@ def _context(args, enumerates: bool = False) -> Context:
             raise UsageError(
                 f"--algebra {args.algebra}: fails {flag}: {report.witnesses[0]}"
             )
-    elif args.verlinde:
+    elif args.verlinde is not None:
         if args.verlinde < 1:
             raise UsageError(f"--verlinde {args.verlinde}: needs r >= 1")
         _refuse_rank(f"--verlinde {args.verlinde}", args.verlinde)
@@ -282,7 +285,7 @@ def cmd_selftest(args) -> int:
 
 def _add_context_flags(sub):
     sub.add_argument("--n", type=int, default=0, help="number of boundary pairs")
-    sub.add_argument("--verlinde", type=int, default=0, help="fusion rank r")
+    sub.add_argument("--verlinde", type=int, help="fusion rank r")
     sub.add_argument("--algebra", help="table algebra file")
 
 

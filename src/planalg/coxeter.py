@@ -11,6 +11,12 @@ inverses, lengths and reduced words, which is everything the
 Hecke-algebra layer consumes.  There is no left table: left products
 come from right ones through the inverse, s w = (w^-1 s)^-1.
 
+Every generator is an involution, so the search computes each Cayley
+edge once: finding w s = x also fills x s = w.  Inverses come from
+w = u s => w^-1 = s u^-1, read off left rows built one length at a
+time by s (u t) = (s u) t; only the rows of two adjacent lengths are
+held while the inverses are built, and none are kept.
+
 Generators are numbered along the chain with the strong bond first:
 m(0,1) is 4 for type B, 5 for type H and m for I_2(m); all other
 adjacent bonds are 3.
@@ -31,21 +37,15 @@ import itertools
 import math
 from functools import lru_cache, reduce
 
-# 2cos(pi/m) for the joined bond strengths of type H, exact in Z[phi]
-# as (integer, phi-coefficient) pairs.
-_TWO_COS = {3: (1, 0), 5: (0, 1)}
+# Whether 2cos(pi/m) is phi (m = 5) or 1 (m = 3), for the joined bond
+# strengths of type H.
+_IS_PHI = {3: False, 5: True}
 
 # Start vectors for type H, in simple-root coordinates, strictly inside
 # the fundamental chamber: every coordinate of B c is positive, where B
 # is the Gram matrix (B_ii = 1, B_ij = -cos(pi/m_ij)).  Such a vector is
 # regular, so its orbit under W is faithful.
 _H_REGULAR = {3: (10, 12, 7), 4: (188, 231, 156, 79)}
-
-
-def _zphi_mul(x: tuple, y: tuple) -> tuple:
-    a, b = x
-    c, d = y
-    return (a * c + b * d, a * d + b * c + b * d)
 
 
 class CoxeterGroup:
@@ -56,22 +56,32 @@ class CoxeterGroup:
         self.bonds = bonds
         self.rank = len(bonds)
         self.order = len(right)
-        self.right = tuple(tuple(row) for row in right)
+        self.right = right = tuple(map(tuple, right))
         lengths = [0] * self.order
         rwords: list = [()] * self.order
-        seen = [False] * self.order
-        seen[0] = True
-        for i in range(self.order):
-            for s, j in enumerate(self.right[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    lengths[j] = lengths[i] + 1
-                    rwords[j] = rwords[i] + (s,)
+        inverse = [0] * self.order
+        # Left rows, row[t] = t x, for the elements x of the current
+        # length (cur) and of the length below (prev); the identity's
+        # row holds the generators.  Elements come in order of length.
+        prev: dict = {}
+        cur = {0: right[0]}
+        for w in range(1, self.order):
+            # The search reached w first from its smallest neighbour u, by
+            # the one generator s with u s = w: rwords[w] = rwords[u] + (s,).
+            row = right[w]
+            u = min(row)
+            s = row.index(u)
+            length = lengths[u] + 1
+            if length > lengths[w - 1]:
+                prev, cur = cur, {}
+            lengths[w] = length
+            rwords[w] = rwords[u] + (s,)
+            # w = u s, so w^-1 = s u^-1 and t w = (t u) s.
+            inverse[w] = prev[inverse[u]][s]
+            cur[w] = [right[x][s] for x in prev[u]]
         self.lengths = tuple(lengths)
         self.rwords = tuple(rwords)
-        self.inverse = tuple(
-            reduce(lambda a, s: self.right[a][s], reversed(w), 0) for w in rwords
-        )
+        self.inverse = tuple(inverse)
 
     def __repr__(self):
         return f"<CoxeterGroup {self.name} order={self.order}>"
@@ -153,22 +163,34 @@ class PrefixTable(dict):
 
 
 def _bfs(num_gens: int, start, act) -> tuple:
+    """Breadth-first search from start; returns (states, right).
+
+    right[i][s] is the index of act(states[i], s).  Every act(., s) must
+    be an involution: each edge is computed once, from the end reached
+    first, and also fills the slot right[j][s] = i of the other end.
+    Each index is one int object, shared by every table entry.
+    """
     index = {start: 0}
     states = [start]
-    right = []
-    i = 0
-    while i < len(states):
-        row = []
-        for s in range(num_gens):
-            t = act(states[i], s)
+    ids = [0]
+    right = [[None] * num_gens]
+    gens = range(num_gens)
+    for i in ids:
+        state = states[i]
+        row = right[i]
+        for s in gens:
+            if row[s] is not None:
+                continue
+            t = act(state, s)
             j = index.get(t)
             if j is None:
                 j = len(states)
                 index[t] = j
                 states.append(t)
-            row.append(j)
-        right.append(row)
-        i += 1
+                ids.append(j)
+                right.append([None] * num_gens)
+            row[s] = j
+            right[j][s] = i
     return states, right
 
 
@@ -185,24 +207,33 @@ def _root_action(bonds: tuple):
     """The reflection action on a vector in simple-root coordinates.
 
     s_i changes only coordinate i: c_i' = -c_i + sum over j != i of
-    2cos(pi/m_ij) c_j.  The state of w is w^-1 applied to the start
-    vector, so the action is a right action on the group.
+    2cos(pi/m_ij) c_j, where 2cos(pi/3) = 1 and 2cos(pi/5) = phi.  The
+    state is flat, (a_0, b_0, a_1, b_1, ...) for c_j = a_j + b_j phi, and
+    phi (c + d phi) = d + (c + d) phi.  The state of w is w^-1 applied
+    to the start vector, so the action is a right action on the group.
     """
     rank = len(bonds)
     coef = [
-        [(j, _TWO_COS[bonds[s][j]]) for j in range(rank) if j != s and bonds[s][j] >= 3]
+        [(2 * j, _IS_PHI[bonds[s][j]]) for j in range(rank) if j != s and bonds[s][j] >= 3]
         for s in range(rank)
     ]
 
     def act(state: tuple, s: int) -> tuple:
-        a, b = state[s]
-        a, b = -a, -b
-        for j, c in coef[s]:
-            x, y = _zphi_mul(c, state[j])
-            a += x
-            b += y
+        k = 2 * s
+        a = -state[k]
+        b = -state[k + 1]
+        for j, phi in coef[s]:
+            c = state[j]
+            d = state[j + 1]
+            if phi:
+                a += d
+                b += c + d
+            else:
+                a += c
+                b += d
         new = list(state)
-        new[s] = (a, b)
+        new[k] = a
+        new[k + 1] = b
         return tuple(new)
 
     return act
@@ -255,7 +286,7 @@ def coxeter_group(family: str, rank: int, m: int = 0) -> CoxeterGroup:
         if rank not in (3, 4):
             raise ValueError("type H supports ranks 3 and 4")
         bonds = _chain_bonds(rank, 5)
-        start = tuple((c, 0) for c in _H_REGULAR[rank])
+        start = tuple(x for c in _H_REGULAR[rank] for x in (c, 0))
         states, right = _bfs(rank, start, _root_action(bonds))
         expect = 120 if rank == 3 else 14400
         name = f"H{rank}"
@@ -291,34 +322,31 @@ def wc_classify(g: CoxeterGroup) -> tuple:
     An element is complex when it can be written as a reduced product
     x1 * w_st * x2 with w_st the longest element of a dihedral parabolic
     on a bond of strength >= 3.  The rule is read from the right, on
-    g.right alone, working up by length: w is complex exactly when some
-    alternating word s,t,s,... of length m(s,t) can be stripped from
-    the right with every step a descent, or some right descent s of w
-    has ws complex.  (Read from the left it gives the same set, since
-    w is complex exactly when w^-1 is.)
+    g.right and g.lengths alone, working up by length: w is complex
+    exactly when both ends s, t of some bond are right descents of w, or
+    some right descent s of w has ws complex.  Both s and t are right
+    descents exactly when w = x * w_st with lengths adding (the factor of
+    w in the parabolic <s, t> is then its longest element), that is, when
+    the alternating word s,t,s,... of length m(s,t) strips off the right
+    with every step a descent.  (Read from the left it gives the same
+    set, since w is complex exactly when w^-1 is.)
 
     >>> len(wc_classify(coxeter_group("A", 3))[0])
     14
     >>> len(wc_classify(coxeter_group("B", 2))[0])
     7
     """
-    is_complex = [False] * g.order
+    right, lengths = g.right, g.lengths
     pairs = g.bond_pairs()
-    for i in range(g.order):
-        found = False
-        for s, t in pairs:
-            x = i
-            for k in range(g.bonds[s][t]):
-                y = g.right[x][s if k % 2 == 0 else t]
-                if g.lengths[y] >= g.lengths[x]:
-                    break
-                x = y
-            else:
-                found = True
-                break
-        if not found:
-            found = any(is_complex[g.right[i][s]] for s in g.right_descents(i))
-        is_complex[i] = found
+    is_complex = [False] * g.order
+    for w in range(1, g.order):
+        row = right[w]
+        down = lengths[w] - 1
+        # ws longer than w comes later in the order and reads False here,
+        # so only right descents can count.
+        is_complex[w] = any([is_complex[y] for y in row]) or any(
+            [lengths[row[s]] == down and lengths[row[t]] == down for s, t in pairs]
+        )
     wc = tuple(i for i in range(g.order) if not is_complex[i])
     cx = tuple(i for i in range(g.order) if is_complex[i])
     return wc, cx

@@ -1,10 +1,11 @@
 """Finite Coxeter groups: orders, lengths, descents, cell classification."""
 
 import hashlib
+from functools import reduce
 
 import pytest
 
-from planalg.coxeter import PrefixTable, coxeter_group, wc_classify
+from planalg.coxeter import PrefixTable, _bfs, coxeter_group, wc_classify
 
 
 @pytest.mark.parametrize(
@@ -122,6 +123,39 @@ def test_fully_commutative_set_is_inverse_closed():
 # Every group of order at most 120.
 SMALL_GROUPS = [("A", r, 0) for r in range(1, 5)] + [
     ("B", 2, 0), ("B", 3, 0), ("H", 3, 0)] + [("I", 2, m) for m in range(3, 13)]
+ALL_GROUPS = SMALL_GROUPS + [("H", 4, 0)]
+
+
+@pytest.mark.parametrize("family,rank,m", ALL_GROUPS)
+def test_generators_act_as_involutions(family, rank, m):
+    # The search fills right[j][s] = i when it finds right[i][s] = j.
+    g = coxeter_group(family, rank, m)
+    right = g.right
+    for w in range(g.order):
+        for s in range(g.rank):
+            assert right[right[w][s]][s] == w
+
+
+@pytest.mark.parametrize("family,rank,m", ALL_GROUPS)
+def test_inverse_is_the_reversed_word(family, rank, m):
+    g = coxeter_group(family, rank, m)
+    want = tuple(reduce(lambda a, s: g.right[a][s], reversed(word), 0) for word in g.rwords)
+    assert g.inverse == want
+
+
+def test_bfs_computes_each_edge_once():
+    calls = []
+
+    def act(state, s):
+        calls.append((state, s))
+        lst = list(state)
+        lst[s], lst[s + 1] = lst[s + 1], lst[s]
+        return tuple(lst)
+
+    states, right = _bfs(3, (0, 1, 2, 3), act)
+    assert len(states) == 24
+    assert len(calls) == len(set(calls)) == 24 * 3 // 2
+    assert right == [list(row) for row in coxeter_group("A", 3).right]
 
 
 def _reduced_words(g):
@@ -165,6 +199,32 @@ def test_largest_group_census():
     assert len(wc) == 195
 
 
+def test_wc_classify_matches_the_alternating_strip_on_h4():
+    # w is complex when an alternating word s,t,s,... of length m(s,t)
+    # strips off the right with every step a descent, or when ws is
+    # complex for some right descent s.
+    g = coxeter_group("H", 4)
+    is_complex = [False] * g.order
+    for w in range(g.order):
+        found = False
+        for s, t in g.bond_pairs():
+            x = w
+            for k in range(g.bonds[s][t]):
+                y = g.right[x][s if k % 2 == 0 else t]
+                if g.lengths[y] >= g.lengths[x]:
+                    break
+                x = y
+            else:
+                found = True
+                break
+        if not found:
+            found = any(is_complex[g.right[w][s]] for s in g.right_descents(w))
+        is_complex[w] = found
+    want = (tuple(w for w in range(g.order) if not is_complex[w]),
+            tuple(w for w in range(g.order) if is_complex[w]))
+    assert wc_classify(g) == want
+
+
 # sha256 of repr() of each table, recorded from the simple-root-image
 # enumeration of type H; any change of element numbering shows here.
 H_TABLE_DIGESTS = {
@@ -183,6 +243,30 @@ H_TABLE_DIGESTS = {
 }
 
 
+# The same for one group of each other family, so that a renumbering
+# in any family shows.
+TABLE_DIGESTS = {
+    ("A", 4, 0): {
+        "right": "9e5eca4d8863fd09fb4ca53c3396cbc9242fecb79594c013a9969df92eeb00a0",
+        "lengths": "5640822f961f8bcdf1dc649a197a90651c3d25e9407057f5d4fcb79da6ba221c",
+        "rwords": "59fa28adb1cd3bd961b827e6ee3a448be04fc5bd52b8b850e63a48111c07b79a",
+        "inverse": "3d1cb43d8802601490cee04769024092e8ccfb5a7e280d1392e959d2aece67b4",
+    },
+    ("B", 3, 0): {
+        "right": "36a16208e1bcd123298c3bcffebfafc848b650f89a60a7c6fbefea3b35e4a1fd",
+        "lengths": "1f936e7f092f90330a9e6856fbfee9ff3e5c9309e393687fa66fda559cae85ec",
+        "rwords": "7ac5d1405132cd14855b187f4b2150938ee70d6b339b78223d248b247d3309a4",
+        "inverse": "c4a5dab0c5184859955d609d9625e72182bb10778602c7e23737085ff3c6a878",
+    },
+    ("I", 2, 12): {
+        "right": "443f15de7ea33d2de50c8d93b98a3d3b30eec4f3c49ecbc1e6c9a7603d4819e0",
+        "lengths": "9368ad2541820061d11d7e608e6fb78db8dc44d255994a94b5d8b0b6a00bb994",
+        "rwords": "6c488931b64b9edd0a98993b03e3922d2b5d36b6bc7f060e12e7e880ce2699ff",
+        "inverse": "355e384599977cf4dcaf28ab74baaf010c99a9f6c52901e106455261e75af45d",
+    },
+}
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_type_h_tables_are_pinned(rank):
     g = coxeter_group("H", rank)
@@ -191,6 +275,16 @@ def test_type_h_tables_are_pinned(rank):
         for name in H_TABLE_DIGESTS[rank]
     }
     assert got == H_TABLE_DIGESTS[rank]
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_DIGESTS))
+def test_tables_are_pinned(key):
+    g = coxeter_group(*key)
+    got = {
+        name: hashlib.sha256(repr(getattr(g, name)).encode()).hexdigest()
+        for name in TABLE_DIGESTS[key]
+    }
+    assert got == TABLE_DIGESTS[key]
 
 
 def test_prefix_splits_off_the_last_letter():

@@ -24,6 +24,8 @@ IDENTITY_13 = "1 * n=13 | " + " ".join(f"{i}-{27 - i}:0" for i in range(1, 14)) 
 U3_9 = "1 * n=9 | " + " ".join(f"{i}-{19 - i}:3" for i in range(1, 10)) + "\n"
 # stands for a file holding the table of Z/33, one rank above MAX_RANK
 Z33_FILE = "<Z/33 table file>"
+# stands for a file holding the table of V_2, a valid label algebra
+V2_FILE = "<V_2 table file>"
 
 TLBASIS_I24 = """\
 group: I2(4)
@@ -184,11 +186,19 @@ def test_conjecture_exit_zero():
     (("axioms", "--n", "2", "--verlinde", "-1"), ""),
     (("mul", "--n", "2", "--verlinde", "-1"), IDENTITY_2 + "--\n" + IDENTITY_2),
     (("trace", "--n", "2", "--verlinde", "-3"), IDENTITY_2),
+    # two contexts named, refused before either algebra is built
+    (("basis", "--n", "2", "--verlinde", "3", "--algebra", V2_FILE), ""),
+    (("mul", "--n", "2", "--algebra", V2_FILE, "--verlinde", "2"),
+     IDENTITY_2 + "--\n" + IDENTITY_2),
+    (("axioms", "--n", "2", "--verlinde", "0", "--algebra", V2_FILE), ""),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"
     z33.write_text(cyclic_group_algebra(MAX_RANK + 1).to_text())
-    args = [str(z33) if a == Z33_FILE else a for a in args]
+    v2 = tmp_path / "v2.txt"
+    v2.write_text(make_verlinde(2).to_text())
+    files = {Z33_FILE: str(z33), V2_FILE: str(v2)}
+    args = [files.get(a, a) for a in args]
     proc = run_cli(*args, stdin=stdin)
     assert proc.returncode == 2
     # argparse prints its usage first; a traceback would end otherwise.
