@@ -49,7 +49,11 @@ _H_REGULAR = {3: (10, 12, 7), 4: (188, 231, 156, 79)}
 
 
 class CoxeterGroup:
-    """A finite Coxeter group backed by a dense right generator-action table."""
+    """A finite Coxeter group backed by a dense right generator-action table.
+
+    ``right`` comes from the breadth-first search, so its elements are in
+    order of length and each is first reached from its smallest neighbour.
+    """
 
     def __init__(self, name: str, bonds: tuple, right: list):
         self.name = name
@@ -166,9 +170,9 @@ def _bfs(num_gens: int, start, act) -> tuple:
     """Breadth-first search from start; returns (states, right).
 
     right[i][s] is the index of act(states[i], s).  Every act(., s) must
-    be an involution: each edge is computed once, from the end reached
-    first, and also fills the slot right[j][s] = i of the other end.
-    Each index is one int object, shared by every table entry.
+    be an involution: each edge is computed once, from the end the search
+    visits first, and also fills the slot right[j][s] = i of the other
+    end.  Each index is one int object, shared by every table entry.
     """
     index = {start: 0}
     states = [start]
