@@ -208,10 +208,12 @@ class LabeledDiagram:
         labels = {}
         for tok in body.split():
             arc, _, lab = tok.partition(":")
+            if not lab:
+                raise ValueError(f"strand {tok!r} has no label, want point-point:label: {text!r}")
             a, _, b = arc.partition("-")
             p = _pair(int(a), int(b))
             pairs.append(p)
-            labels[p] = int(lab) if lab else 0
+            labels[p] = int(lab)
         pairs.sort()
         seen = sorted(x for p in pairs for x in p)
         if len(pairs) != n or seen != list(range(1, 2 * n + 1)):

@@ -39,15 +39,12 @@ from dataclasses import dataclass, field
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
-from .hecke import hecke
-from .laurent import Laurent, ONE, lincomb
+from .hecke import _Q, hecke
+from .laurent import ONE, V, lincomb
 from .planar import Context, Element, fusion_twist, is_exposed
 from .table_algebra import TableAlgebra
 from .tl import TL, tl
 from .verlinde import make_verlinde
-
-_Q = Laurent.v_power(2)
-_V = Laurent.v_power(1)
 
 
 # -- admissible sets ---------------------------------------------------------
@@ -186,7 +183,7 @@ class DiagramEmbedding:
         self.gen_e = [
             self.ctx.e_element(s + 1, self.gen_labels[s]) for s in range(g.rank)
         ]
-        self._that = [e.scale(_V) - self.ctx.one() for e in self.gen_e]
+        self._that = [e.scale(V) - self.ctx.one() for e in self.gen_e]
         self._timage = PrefixTable(g, self.ctx.one(), lambda x, u, s: x * self._that[s])
         self._rho_canonical: dict = {}
         self._verify_relations()

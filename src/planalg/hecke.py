@@ -14,31 +14,29 @@ for w = us with us > u,
 
     c_w = c_u C'_s - sum of mu(z) c_z over z with zs < z,
 
-in the unit coordinates e_y = v^{-l(y)} T_y (or t_y), along g.prefix,
-where mu(z) is the coefficient of v^-1 of c_u at z (in H, the top
-coefficient of P_{z,u}).  Right multiplication by C'_s is one
-:func:`planalg.laurent.lincomb` over rows e_ys + v^-1 e_y (rise) and
-e_ys + v e_y (drop) in H and over a table in the quotient, as T_s is in
-:meth:`Hecke.mul_gen` and in the quotient's action table;
-:func:`canonical_step` does the rest for both.  Each c_w is
+in the algebra's own basis T_y (or t_y), along g.prefix, where mu(z)
+is the coefficient of v^{-l(z)-1} of c_u at z (in H, the top
+coefficient of P_{z,u}).  :func:`canonical_step` forms c_u C'_s =
+v^-1 (c_u T_s + c_u) through the algebra's ``mul_gen``, the same call
+for H and the quotient, and does the rest for both.  Each c_w is
 bar-invariant by construction, since C'_s is and the mu(z) are
-integers, and must be e_w plus terms in v^-1 Z[v^-1], which makes it
+integers, and in the unit coordinates e_y = v^{-l(y)} T_y of
+:func:`to_unit` must be e_w plus terms in v^-1 Z[v^-1], which makes it
 the unique canonical element; a wrong mu, or a step that moves a
 constant term, breaks this and raises ArithmeticError.  A step that is
 wrong elsewhere can pass, so the tests also hold every c_w to bar and
-to :func:`ic_solve`.  In H the coefficient at y != w is
-v^{l(y)-l(w)} P_{y,w}, and the Hecke table also checks P_{y,w}(0) = 1.
-Both the bar table (:func:`bar_table`, shared with the quotient) and
-the C'_w table fill on first read (:class:`PrefixTable`); C'_w never
-reads bar.
+to :func:`ic_solve`.  In H the coefficient at y is v^{-l(w)} P_{y,w},
+and the Hecke table also checks P_{y,w}(0) = 1.  Both the bar table
+(:func:`bar_table`, shared with the quotient) and the C'_w table fill
+on first read (:class:`PrefixTable`); C'_w never reads bar.
 
 :func:`ic_solve` finds the same basis the other way, by inverting a
 bar table one length at a time.  No library path calls it: it is the
 oracle the tests hold the recursion to.  :func:`bar_apply` applies bar
-through a table.  Since c_y is e_y plus terms on shorter elements, each
-b_y has a finite canonical expansion, one lincomb over those of shorter
-elements (:class:`CanonicalInverse`), and :func:`canonical_coords` is
-one lincomb over these rows; :func:`from_unit` leaves unit coordinates.
+through a table.  Since c_y is v^{-l(y)} b_y plus terms on shorter
+elements, each b_y has a finite canonical expansion, one lincomb over
+those of shorter elements (:class:`CanonicalInverse`), and
+:func:`canonical_coords` is one lincomb over these rows.
 
 >>> h = hecke(coxeter_group("A", 2))
 >>> h.mul(h.t(1), h.t(1)) == {0: Laurent("v^2"), 1: Laurent("v^2 - 1")}
@@ -52,13 +50,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
-from .laurent import Laurent, ONE, V, V_INV, ZERO, lincomb
+from .laurent import Laurent, ONE, V_INV, ZERO, lincomb
 
 _Q = Laurent.v_power(2)
 _QINV = Laurent.v_power(-2)
-# C'_s = v^-1 (T_s + 1) in unit coordinates e_y = v^-l(y) T_y: e_y C'_s is
-# e_ys + v^-1 e_y on a rise and e_ys + v e_y on a drop.
-_CPRIME_S = (V_INV, V)
 
 
 def bar_table(algebra) -> PrefixTable:
@@ -71,26 +66,27 @@ def bar_table(algebra) -> PrefixTable:
         ((_QINV, algebra.mul_gen(x, s)), (_QINV - ONE, x))))
 
 
-def canonical_step(table: PrefixTable, cu: dict, s: int, x: dict, w: int, basis) -> dict:
-    """c_w = x - sum of mu(z) c_z, for x = c_u C'_s and w = us.
+def canonical_step(algebra, table: PrefixTable, cu: dict, s: int, w: int, basis) -> dict:
+    """c_w = c_u C'_s - sum of mu(z) c_z for w = us, c_u C'_s = v^-1 (c_u T_s + c_u).
 
-    All in unit coordinates: w is the coordinate of us, basis[z] the
-    group element of coordinate z, and table[basis[z]] is c_z, read on
-    demand.  mu(z) is the coefficient of v^-1 of c_u at each z with
-    zs < z.  Such a z gets v c_u[z] from its own drop, so the constant
-    term of x at z is mu(z) when the step is right, and one pass reads
-    every correction off c_u.  Off its diagonal c_z lies in v^-1 Z[v^-1],
-    so the integer mu(z) moves no other constant term.  Raises
-    ArithmeticError unless the result is e_w plus terms in v^-1 Z[v^-1],
-    which checks each mu(z) against the product: a step that moves a
-    constant term is refused, not absorbed.
+    In the algebra's own basis, through ``algebra.mul_gen``: w is the
+    coordinate of us, basis[z] the group element of coordinate z, and
+    table[basis[z]] is c_z, read on demand.  mu(z) is the coefficient of
+    v^{-l(z)-1} of c_u at each z with zs < z.  Such a z gets v c_u[z]
+    from its own drop, so the coefficient of v^{-l(z)} at z is mu(z) when
+    the step is right, and one pass reads every correction off c_u.
+    Raises ArithmeticError unless the result is v^{-l(w)} at w and of
+    degree below -l(z) at every other z (e_w plus terms in v^-1 Z[v^-1]
+    in unit coordinates), which checks each mu(z) against the product: a
+    step that moves a v^{-l(z)} term is refused, not absorbed.
     """
     right, lengths = table.g.right, table.g.lengths
-    corrections = [(-mu, table[y]) for z, c in cu.items()
-                   if lengths[right[y := basis[z]][s]] < lengths[y] and (mu := c.coeff(-1))]
-    if corrections:
-        x = lincomb([(1, x), *corrections])
-    if x.get(w) != ONE or any(c.degree() >= 0 for z, c in x.items() if z != w):
+    x = lincomb([(V_INV, algebra.mul_gen(cu, s)), (V_INV, cu), *(
+        (-mu, table[y]) for z, c in cu.items()
+        if lengths[right[y := basis[z]][s]] < lengths[y]
+        and (mu := c.coeff(-lengths[y] - 1)))])
+    if (x.get(w) != Laurent.v_power(-lengths[basis[w]])
+            or any(c.degree() >= -lengths[basis[z]] for z, c in x.items() if z != w)):
         raise ArithmeticError(
             f"c_{table.g.word(basis[w])} is not a Kazhdan-Lusztig element: {x}")
     return x
@@ -151,10 +147,10 @@ def bar_apply(bar_table: list, x: dict) -> dict:
 class CanonicalInverse(dict):
     """b_y in the canonical basis, by coordinate y, filled on first read.
 
-    table[basis[y]] is c_y in unit coordinates e_z = v^{-l(z)} b_z, and
-    c_y is e_y plus terms on strictly shorter z (Green and Losonczy), so
+    table[basis[y]] is c_y in the b-basis, v^{-l(y)} b_y plus terms on
+    strictly shorter z (Green and Losonczy), so
 
-        b_y = v^{l(y)} c_y - sum over z != y of v^{l(y)-l(z)} c_y[z] b_z
+        b_y = v^{l(y)} c_y - sum over z != y of v^{l(y)} c_y[z] b_z
 
     is one lincomb over the rows of shorter elements, read on demand.
     Raises ArithmeticError on a term of c_y at z != y that is not
@@ -172,7 +168,7 @@ class CanonicalInverse(dict):
             raise ArithmeticError(
                 f"c_{self.table.g.word(self.basis[y])} has a term not shorter than it: {cy}")
         got = self[y] = lincomb([(Laurent.v_power(ly), {y: ONE}), *(
-            (-c.shift(ly - lengths[z]), self[z]) for z, c in cy.items() if z != y)])
+            (-c.shift(ly), self[z]) for z, c in cy.items() if z != y)])
         return got
 
 
@@ -181,9 +177,9 @@ def canonical_coords(x: dict, inverse: CanonicalInverse) -> dict:
     return lincomb((c, inverse[y]) for y, c in x.items())
 
 
-def from_unit(x: dict, lengths) -> dict:
-    """Unit coordinates (e_y = v^{-l(y)} b_y) back to the b-basis."""
-    return {y: c.shift(-lengths[y]) for y, c in x.items()}
+def to_unit(x: dict, lengths) -> dict:
+    """x, given in the b-basis, in unit coordinates e_y = v^{-l(y)} b_y."""
+    return {y: c.shift(lengths[y]) for y, c in x.items()}
 
 
 class Hecke:
@@ -235,19 +231,16 @@ class Hecke:
     def _canonical_table(self) -> PrefixTable:
         """C'_w = C'_u C'_s - sum of mu(z) C'_z for w = us (module docstring).
 
-        On top of :func:`canonical_step`, every P_{y,w}(0) must be 1, or
-        the step raises ArithmeticError: a negated v^-1 in the step
-        makes P_{u,w}(0) = -1.
+        On top of :func:`canonical_step`, every P_{y,w}(0) (at v^{-l(w)})
+        must be 1, or the step raises ArithmeticError: a negated v^-1 C'_u
+        term makes P_{u,w}(0) = -1.
         """
         g = self.g
         lengths, right, basis = g.lengths, g.right, range(g.order)
         def step(cu, u, s):
-            w, (rise, drop) = right[u][s], _CPRIME_S
-            x = lincomb((c, {(ys := right[y][s]): ONE, y: rise if lengths[ys] > lengths[y] else drop})
-                        for y, c in cu.items())
-            x = canonical_step(table, cu, s, x, w, basis)
-            lw = lengths[w]
-            if any(c.coeff(lengths[y] - lw) != 1 for y, c in x.items() if y != w):
+            w = right[u][s]
+            x = canonical_step(self, table, cu, s, w, basis)
+            if any(c.coeff(-lengths[w]) != 1 for c in x.values()):
                 raise ArithmeticError(f"C'_{g.word(w)} is not a Kazhdan-Lusztig element: {x}")
             return x
         table = PrefixTable(g, self.one(), step)
@@ -255,17 +248,17 @@ class Hecke:
 
     def cprime_unit(self, w: int) -> dict:
         """C'_w in the rescaled basis e_y = v^{-len(y)} T_y."""
-        return self._canonical_table[w]
+        return to_unit(self._canonical_table[w], self.g.lengths)
 
     def cprime(self, w: int) -> dict:
-        """C'_w in the T-basis.
+        """C'_w in the T-basis, shared with the table: do not mutate it.
 
         >>> h = hecke(coxeter_group("I", 2, 5))
         >>> top = h.g.order - 1
         >>> h.cprime(top) == {y: Laurent.v_power(-5) for y in range(10)}
         True
         """
-        return from_unit(self.cprime_unit(w), self.g.lengths)
+        return self._canonical_table[w]
 
     @cached_property
     def _inverse(self) -> CanonicalInverse:
@@ -277,9 +270,8 @@ class Hecke:
         return canonical_coords(x, self._inverse)
 
     def kl_polynomial(self, y: int, w: int) -> Laurent:
-        """The polynomial P_{y,w} in q = v^2 (zero when y is not below w)."""
-        p = self.cprime_unit(w).get(y, ZERO)
-        return p * Laurent.v_power(self.g.lengths[w] - self.g.lengths[y])
+        """P_{y,w} in q = v^2, v^{l(w)} C'_w[y] (zero when y is not below w)."""
+        return self._canonical_table[w].get(y, ZERO).shift(self.g.lengths[w])
 
 
 @lru_cache(maxsize=None)

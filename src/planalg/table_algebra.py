@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .laurent import Laurent
 
@@ -53,6 +54,8 @@ class TableAlgebra:
                     f"structure constant of b{i} b{j} names index {bad[0]} "
                     f"outside 0..{self.rank - 1}"
                 )
+            if not all(isinstance(c, Integral) for c in row.values()):
+                raise TypeError(f"structure constants of b{i} b{j} must be integers: {row}")
             row = {m: int(c) for m, c in row.items() if c}
             if row:
                 self.rows[(i, j)] = row

@@ -44,47 +44,44 @@ sharing one is safe.  Each new row entry passes through a per-instance
 table keyed by the set of the coefficient's terms, which determines its
 value (:meth:`TL._share`).
 
-The canonical basis c_w, the bar-invariant element that is e_w =
-v^{-l(w)} t_w plus terms in v^-1 Z[v^-1], comes from the recursion that
-gives the Kazhdan-Lusztig basis of H (Green and Losonczy, "Canonical
-bases for Hecke algebra quotients", 1999): c_us = c_u b_s - sum of
-mu(z) c_z along g.prefix, mu(z) the coefficient of v^-1 of c_u at z
-with zs < z (:func:`planalg.hecke.canonical_step`).  Right
-multiplication by b_s = v^-1 (t_s + t_1), the image of C'_s, is a
-table in unit coordinates read off the certified act, e_y b_s =
-v^{-l(y)-1} (t_y T_s + t_y) (:attr:`TL._b_act`).  The recursion first
-checks the quadratic relation e_y b_s b_s = (v + v^-1) e_y b_s on every
-row and generator (:meth:`TL._check_b_act`), so a table altered after
-it was read off act is refused before any c_w is built.
+The canonical basis c_w, the bar-invariant element that is v^{-l(w)}
+t_w plus, at each other z, terms of degree below -l(z), comes from the
+recursion that gives the Kazhdan-Lusztig basis of H (Green and
+Losonczy, "Canonical bases for Hecke algebra quotients", 1999): c_us =
+c_u b_s - sum of mu(z) c_z along g.prefix, with c_u b_s = v^-1 (c_u T_s
++ c_u) through :meth:`TL.mul_gen`, as in H
+(:func:`planalg.hecke.canonical_step`).  No table of b_s is derived, so
+none needs a check of its own: b_s acts through act itself, which
+:meth:`TL._certify` proves to be the action of H.
 
 Why the result is c_us: C'_s is bar-invariant and bar descends to H/J,
 so b_s is bar-invariant in the quotient, whose action
 :meth:`TL._certify` proves to be that of H.  By induction c_u b_s is
-bar-invariant, and so is c_us, since the mu(z) are integers.  The step
-checks that c_us is e_us plus terms in v^-1 Z[v^-1]; two bar-invariant
-elements of that shape differ by a bar-invariant element with every
-coefficient in v^-1 Z[v^-1], which is 0 because bar is unitriangular.
-So a step that returns gives the unique canonical element, whatever
-integers it subtracted.  It returns because the constant term of c_u
-b_s at z is mu(z), as in H: a complex ys adds theta(e_ys), and theta(C'_x)
-= 0 for complex x puts theta(e_x) in v^-1 times the Z[v^-1]-span of the
-e_z.  A wrong correction raises ArithmeticError.
+bar-invariant, and so is c_us, since the mu(z) are integers.  In unit
+coordinates e_y = v^{-l(y)} t_y the step checks that c_us is e_us plus
+terms in v^-1 Z[v^-1]; two bar-invariant elements of that shape differ
+by a bar-invariant element with every coefficient in v^-1 Z[v^-1],
+which is 0 because bar is unitriangular.  So a step that returns gives
+the unique canonical element, whatever integers it subtracted.  It
+returns because the constant term of c_u b_s at z is mu(z), as in H: a
+complex ys adds theta(e_ys), and theta(C'_x) = 0 for complex x puts
+theta(e_x) in v^-1 times the Z[v^-1]-span of the e_z.  A wrong
+correction raises ArithmeticError.
 
 The recursion reads neither the bar table nor the Hecke algebra, so
 theta(C'_w) = c_w compares recursions over two different algebras,
 and :func:`planalg.hecke.ic_solve` over the bar table is a test oracle
 only.  W_c is closed under prefixes and every c_z a step corrects by
-is in W_c, so the canonical table holds W_c alone.  The t-basis form
-c_w = sum of v^{-l(y)} (unit coordinate) t_y is kept per instance too,
-filled on first read (:meth:`TL.canonical_t`); like the unit table its
-values are shared and must not be mutated.
+is in W_c, so the canonical table holds W_c alone.  It is kept per
+instance in the t-basis (:meth:`TL.canonical_t`); its values are
+shared and must not be mutated.
 
 >>> ctx = tl(coxeter_group("A", 2))
 >>> bs, bt = ctx.b(0), ctx.b(1)
 >>> ctx.mul(ctx.mul(bs, bt), bs) == bs
 True
->>> ctx.canonical_t(3) == {0: Laurent("v^-2"), 1: Laurent("v^-2"), 2: Laurent("v^-2"), 3: Laurent("v^-2")}
-True
+>>> ctx.element_str(ctx.canonical_t(3))
+'(v^-2) t[e] + (v^-2) t[1] + (v^-2) t[2] + (v^-2) t[12]'
 """
 
 from __future__ import annotations
@@ -94,9 +91,9 @@ from functools import cached_property, lru_cache
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
     _Q, CanonicalInverse, Hecke, bar_apply, bar_table, canonical_coords, canonical_step,
-    from_unit, hecke,
+    hecke, to_unit,
 )
-from .laurent import DELTA, Laurent, ONE, V_INV, lincomb
+from .laurent import ONE, V_INV, lincomb
 
 
 class TL:
@@ -121,8 +118,6 @@ class TL:
         self._rows = [PrefixTable(g, self._share({k: ONE}),
                                   lambda x, u, s: self._share(self.mul_gen(x, s)))
                       for k in range(self.rank)]
-        # c_w in the t-basis, by group element, for the w read so far.
-        self._canonical_t: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -278,46 +273,16 @@ class TL:
     # -- canonical basis ----------------------------------------------------------
 
     @cached_property
-    def _b_act(self) -> list:
-        """e_y b_s in unit coordinates e_y = v^{-l(y)} t_y, at [k][s] for y = wc[k].
-
-        e_y b_s = v^{-l(y)-1} (t_y T_s + t_y): act[k][s] rescaled plus v^-1 e_y.
-        """
-        lengths = self.lengths
-        return [[lincomb(((V_INV, {k: ONE}), (1, {z: c.shift(lengths[z] - lengths[k] - 1)
-                                                    for z, c in row.items()})))
-                 for row in rows] for k, rows in enumerate(self._act)]
-
-    def _check_b_act(self) -> None:
-        """e_y b_s b_s = (v + v^-1) e_y b_s for every row y and generator s.
-
-        The b_s table is read off the certified act, but a wrong table
-        that keeps every constant term passes the step's degree check;
-        the quadratic relation of b_s refuses it.
-        """
-        b_act = self._b_act
-        for k, rows in enumerate(b_act):
-            for s, row in enumerate(rows):
-                if (lincomb((c, b_act[z][s]) for z, c in row.items())
-                        != lincomb(((DELTA, row),))):
-                    raise AssertionError(
-                        f"b_s table fails b_s^2 = delta b_s at "
-                        f"y = {self.g.word(self.wc[k])}, s = {s + 1}")
-
-    @cached_property
     def _canonical_table(self) -> PrefixTable:
-        """c_us = c_u b_s - sum of mu(z) c_z along g.prefix (module docstring),
-        once :meth:`_check_b_act` has passed on the b_s table."""
-        self._check_b_act()
-        g, b_act, pos, wc = self.g, self._b_act, self.pos, self.wc
+        """c_us = c_u b_s - sum of mu(z) c_z along g.prefix (module docstring)."""
+        g, pos, wc = self.g, self.pos, self.wc
         table = PrefixTable(g, self.one(), lambda cu, u, s: canonical_step(
-            table, cu, s, lincomb((c, b_act[k][s]) for k, c in cu.items()),
-            pos[g.right[u][s]], wc))
+            self, table, cu, s, pos[g.right[u][s]], wc))
         return table
 
     def canonical_unit(self, w: int) -> dict:
         """c_w in the rescaled basis v^{-l(y)} t_y, keyed by position."""
-        return self._canonical_table[w]
+        return to_unit(self._canonical_table[w], self.lengths)
 
     def canonical_t(self, w: int) -> dict:
         """c_w in the t-basis, keyed by position, kept on first read; the
@@ -327,10 +292,7 @@ class TL:
         >>> ctx.canonical_t(ctx.wc[1]) == ctx.b(0)
         True
         """
-        hit = self._canonical_t.get(w)
-        if hit is None:
-            hit = self._canonical_t[w] = from_unit(self.canonical_unit(w), self.lengths)
-        return hit
+        return self._canonical_table[w]
 
     @cached_property
     def _inverse(self) -> CanonicalInverse:

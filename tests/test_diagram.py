@@ -126,6 +126,12 @@ def test_diagram_text_round_trip():
     assert LabeledDiagram.from_text(d.to_text()) == d
 
 
+@pytest.mark.parametrize("body", ["1-2 3-4:0", "1-2: 3-4:0", "1-4:1 2-3"])
+def test_strand_without_a_label_is_refused(body):
+    with pytest.raises(ValueError, match="has no label"):
+        LabeledDiagram.from_text(f"n=2 | {body}")
+
+
 def _perfect_matchings(points):
     if not points:
         yield ()

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run through a real subprocess."""
 
+import hashlib
 import re
 import resource
 import subprocess
@@ -134,6 +135,21 @@ def test_tlbasis_golden():
     assert proc.stdout == TLBASIS_I24
 
 
+# sha256 of the tlbasis stdout, recorded from the unit-coordinate
+# recursion before c_w was kept in the t-basis.
+TLBASIS_SHA256 = {
+    "B": "815c1ced27d5d58b23cc85121a0aab490f60f92df38b213a4b4b93cd1b20a173",
+    "H": "52e738069627f5be0ddc19d27c0ca17ba46c0b48b5ac743eaf9a4ff627358b89",
+}
+
+
+@pytest.mark.parametrize("family", ["B", "H"])
+def test_tlbasis_rank_three_is_pinned(family):
+    proc = run_cli("tlbasis", "--type", family, "--rank", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TLBASIS_SHA256[family]
+
+
 def test_embed_machine_report():
     proc = run_cli("--machine", "embed", "--type", "I", "--rank", "2",
                    "--m", "4")
@@ -191,6 +207,10 @@ def test_conjecture_exit_zero():
     (("mul", "--n", "2", "--algebra", V2_FILE, "--verlinde", "2"),
      IDENTITY_2 + "--\n" + IDENTITY_2),
     (("axioms", "--n", "2", "--verlinde", "0", "--algebra", V2_FILE), ""),
+    # a strand token without its label, refused rather than read as label 0
+    (("trace", "--n", "2", "--verlinde", "3"), "1 * n=2 | 1-2 3-4:\n"),
+    (("trace", "--n", "2", "--verlinde", "3"), "1 * n=2 | 1-2:0 3-4:\n"),
+    (("mul", "--n", "2", "--verlinde", "2"), "1 * n=2 | 1-4 2-3:0\n--\n" + IDENTITY_2),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"

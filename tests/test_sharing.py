@@ -49,7 +49,7 @@ def _cached_coefficients(ctx, q) -> list:
     out += ctx._scalars.values()
     out += [c for row in q._rows for entry in row.values() for c in entry.values()]
     out += q._coeffs.values()
-    out += [c for cw in q._canonical_t.values() for c in cw.values()]
+    out += [c for cw in q._canonical_table.values() for c in cw.values()]
     out += [c for row in q._inverse.values() for c in row.values()]
     return out
 

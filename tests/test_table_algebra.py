@@ -82,6 +82,13 @@ def test_out_of_range_structure_constants_are_refused(rows):
         TableAlgebra(2, 0, (0, 1), rows)
 
 
+@pytest.mark.parametrize("c", [1.5, 0.5, "1"])
+def test_non_integral_structure_constants_are_refused(c):
+    # int() would store 1.5 as 1 and 0.5 as a zero that check() never sees.
+    with pytest.raises(TypeError, match="must be integers"):
+        TableAlgebra(1, 0, (0,), {(0, 0): {0: c}})
+
+
 def test_mul_trace_support():
     alg = cyclic_group_algebra(3)
     x = {1: 2, 2: 1}

@@ -2,11 +2,12 @@
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from planalg.coxeter import coxeter_group, wc_classify
-from planalg.hecke import Hecke, from_unit, hecke, ic_solve
+from planalg.hecke import Hecke, hecke, ic_solve
 from planalg.laurent import DELTA, Laurent, ONE, V_INV, lincomb
 from planalg.tl import tl
 
@@ -132,38 +133,39 @@ def test_type_a_canonical_basis_is_monomial(rank):
 @pytest.mark.parametrize("mutation", ["correction dropped", "correction doubled"])
 @pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES[1:])  # not A3, see above
 def test_corrupted_recursion_is_refused(monkeypatch, family, rank, m, mutation):
-    # The correction mu(z) is read as the coefficient of v^-1 of c_u at
-    # z, and nothing else in the recursion asks for that coefficient.
+    # The correction mu(z) is read as a coefficient of c_u at z, and
+    # nothing else in the quotient's recursion reads a coefficient.
     g = coxeter_group(family, rank, m)
     q = TL_MODULE.TL(g)
     factor = 0 if mutation == "correction dropped" else 2
     coeff = Laurent.coeff
-    monkeypatch.setattr(Laurent, "coeff", lambda self, k: (
-        factor * coeff(self, k) if k == -1 else coeff(self, k)))
+    monkeypatch.setattr(Laurent, "coeff", lambda self, k: factor * coeff(self, k))
     with pytest.raises(ArithmeticError, match="Kazhdan-Lusztig"):
         for w in q.wc:
-            q.canonical_unit(w)
+            q.canonical_t(w)
 
 
 @pytest.mark.parametrize("family,rank,m", CORRUPTED_TYPES)
 def test_negated_b_s_term_fails_the_oracle_and_bar(monkeypatch, family, rank, m):
-    """Negating the v^-1 e_y term of every e_y b_s in the unit table.
+    """Negating the v^-1 t_1 term of b_s, so that the step forms
+    v^-1 (c_u T_s - c_u) in place of c_u b_s.
 
     The results would still have the degree shape of a canonical basis,
-    so the step alone does not refuse them; the quadratic relation of
-    b_s, checked where the recursion first reads the table, does.  With
-    that check bypassed, the bar table, built apart from the recursion,
-    shows the results are wrong.
+    so the step alone does not refuse them; the oracle theta(C'_w) = c_w,
+    whose C'_w come from the unaltered Hecke recursion, does.  With the
+    oracle bypassed, ic_solve over the bar table and bar itself, both
+    built apart from the recursion, show the results are wrong.
     """
-    g = coxeter_group(family, rank, m)
-    q = TL_MODULE.TL(g)
-    for k, rows in enumerate(q._b_act):
-        for s, row in enumerate(rows):
-            rows[s] = lincomb(((1, row), (-2, {k: V_INV})))
-    with pytest.raises(AssertionError, match="b_s table fails"):
-        q.canonical_unit(q.wc[-1])
-    assert "_canonical_table" not in vars(q)
-    monkeypatch.setattr(TL_MODULE.TL, "_check_b_act", lambda self: None)
+    step = TL_MODULE.canonical_step
+
+    def negated(algebra, *args):
+        mul_gen = lambda x, s: lincomb(((1, algebra.mul_gen(x, s)), (-2, x)))
+        return step(SimpleNamespace(mul_gen=mul_gen), *args)
+
+    monkeypatch.setattr(TL_MODULE, "canonical_step", negated)
+    q = TL_MODULE.TL(coxeter_group(family, rank, m))
+    with pytest.raises(AssertionError, match="differs"):
+        q.cross_check_canonical()
     table = [q.canonical_unit(w) for w in q.wc]
     assert table != ic_solve(q._bar_table, q.lengths)
     assert any(q.bar(q.canonical_t(w)) != q.canonical_t(w) for w in q.wc)
@@ -171,23 +173,29 @@ def test_negated_b_s_term_fails_the_oracle_and_bar(monkeypatch, family, rank, m)
 
 @pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
 def test_b_s_table_passes_its_check_and_matches_products(family, rank, m):
+    """The rows t_y b_s = v^-1 (t_y T_s + t_y) that the recursion forms
+    through mul_gen, none of them stored, satisfy b_s^2 = delta b_s and
+    match the product with b(s) through the product rows."""
     q = TL_MODULE.TL(coxeter_group(family, rank, m))
-    q._check_b_act()
-    for k, rows in enumerate(q._b_act):
-        for s, row in enumerate(rows):
-            assert q.mul({k: Laurent.v_power(-q.lengths[k])}, q.b(s)) == {
-                z: c.shift(-q.lengths[z]) for z, c in row.items()}
+    for k in range(q.rank):
+        for s in range(q.g.rank):
+            row = lincomb(((V_INV, q.mul_gen({k: ONE}, s)), (V_INV, {k: ONE})))
+            assert row == q.mul({k: ONE}, q.b(s))
+            assert lincomb(((V_INV, q.mul_gen(row, s)), (V_INV, row))) == lincomb(((DELTA, row),))
 
 
 @pytest.mark.parametrize("family,rank,m", ACCEPTED_TYPES)
 def test_canonical_t_is_kept_and_matches_the_unit_table(family, rank, m):
     q = TL_MODULE.TL(coxeter_group(family, rank, m))
     for _ in range(2):
-        for w in q.wc:
+        for k, w in enumerate(q.wc):
             got = q.canonical_t(w)
             assert got is q.canonical_t(w)
-            assert got == from_unit(q.canonical_unit(w), q.lengths)
-    assert len(q._canonical_t) == q.rank
+            unit = q.canonical_unit(w)
+            assert unit[k] == ONE
+            assert all(c.degree() < 0 for z, c in unit.items() if z != k)
+            assert {z: c.shift(-q.lengths[z]) for z, c in unit.items()} == got
+    assert len(q._canonical_table) == q.rank
 
 
 def test_h4_products_on_wc_alone():
@@ -357,12 +365,12 @@ def test_a_term_on_the_same_length_is_refused(family, rank, m):
     term moved onto an element of y's own length."""
     g = coxeter_group(family, rank, m)
     q, h = TL_MODULE.TL(g), Hecke(g)
-    y, units = _move_a_term([q.canonical_unit(w) for w in q.wc], q.lengths)
-    q._canonical_table[q.wc[y]] = units[y]
+    y, rows = _move_a_term([q.canonical_t(w) for w in q.wc], q.lengths)
+    q._canonical_table[q.wc[y]] = rows[y]
     with pytest.raises(ArithmeticError, match="not shorter"):
         q.to_canonical({y: ONE})
-    y, units = _move_a_term([h.cprime_unit(w) for w in range(g.order)], g.lengths)
-    h._canonical_table[y] = units[y]
+    y, rows = _move_a_term([h.cprime(w) for w in range(g.order)], g.lengths)
+    h._canonical_table[y] = rows[y]
     with pytest.raises(ArithmeticError, match="not shorter"):
         h.to_cprime({y: ONE})
     for table, lengths in ((q._bar_table, q.lengths),
