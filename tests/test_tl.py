@@ -159,7 +159,8 @@ def test_negated_b_s_term_fails_the_oracle_and_bar(monkeypatch, family, rank, m)
     step = TL_MODULE.canonical_step
 
     def negated(algebra, *args):
-        mul_gen = lambda x, s: lincomb(((1, algebra.mul_gen(x, s)), (-2, x)))
+        def mul_gen(x, s):
+            return lincomb(((1, algebra.mul_gen(x, s)), (-2, x)))
         return step(SimpleNamespace(mul_gen=mul_gen), *args)
 
     monkeypatch.setattr(TL_MODULE, "canonical_step", negated)
