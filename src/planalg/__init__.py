@@ -22,7 +22,6 @@ from .table_algebra import (
     cyclic_group_algebra,
     permutation_group_algebra,
     tensor,
-    trivial_algebra,
 )
 from .verlinde import make_verlinde, reduction_structure_constants, w_identities
 from .diagram import (
@@ -45,7 +44,6 @@ from .planar import (
     fusion_twist,
     is_exposed,
     p_tensor_embed,
-    tensor_elements,
     trace_of_diagram,
     verify_tensor_iso,
 )

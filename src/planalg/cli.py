@@ -21,8 +21,8 @@ from .tl import tl
 from .verlinde import make_verlinde
 
 
-#: Largest --n a context command accepts: a context numbers all
-#: Catalan(n) matchings when it is made.
+#: Largest --n a context command accepts, and largest drank --nmax: a
+#: context numbers all Catalan(n) matchings when it is made.
 MAX_N = 12
 #: Most basis diagrams that basis, dbasis, axioms and drank enumerate,
 #: and most terms that mul writes.
@@ -257,6 +257,8 @@ def cmd_conjecture(args) -> int:
 def cmd_drank(args) -> int:
     if args.r < 1 or args.nmax < 1:
         raise UsageError("drank needs --r >= 1 and --nmax >= 1")
+    if args.nmax > MAX_N:
+        raise UsageError(f"--nmax {args.nmax}: drank supports n up to {MAX_N}")
     _refuse_rank(f"--r {args.r}", args.r)
     _refuse_large("--nmax", args.nmax, args.r, "drank")
     seq = drank_sequence(args.r, args.nmax)

@@ -304,27 +304,6 @@ def star_diagram(d: LabeledDiagram, inv) -> LabeledDiagram:
     return LabeledDiagram(matching, tuple(inv[d.labels[k]] for k in order))
 
 
-def tensor_matched(d1: LabeledDiagram, d2: LabeledDiagram, inv) -> LabeledDiagram:
-    """Place d2 to the right of d1 on n1 + n2 points.
-
-    Points of d1: top fixed, bottom shifted by 2*n2.  Points of d2: all
-    shifted by n1; when n1 is odd this flips every canonical direction
-    in the right block, so d2's labels pass through ``inv``.
-    """
-    n1, n2 = d1.n, d2.n
-    items = [
-        (_pair(a if a <= n1 else a + 2 * n2, b if b <= n1 else b + 2 * n2), l)
-        for (a, b), l in zip(d1.matching, d1.labels)
-    ]
-    flip = n1 % 2 == 1
-    items += [
-        ((a + n1, b + n1), inv[l] if flip else l)
-        for (a, b), l in zip(d2.matching, d2.labels)
-    ]
-    items.sort()
-    return LabeledDiagram(tuple(p for p, _ in items), tuple(l for _, l in items))
-
-
 # -- stacking and closure -------------------------------------------------------
 
 #: One traversal step through a strand: (the layer the strand lies in, 0

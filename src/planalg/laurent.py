@@ -118,10 +118,6 @@ class Laurent:
         """Largest exponent present, or None for the zero polynomial."""
         return max(self._c) if self._c else None
 
-    def valuation(self):
-        """Smallest exponent present, or None for the zero polynomial."""
-        return min(self._c) if self._c else None
-
     def is_constant(self) -> bool:
         return not self._c or self._c.keys() == {0}
 
@@ -211,27 +207,9 @@ class Laurent:
         """The terms with strictly negative exponent."""
         return Laurent._raw({e: x for e, x in self._c.items() if e < 0})
 
-    def nonnegative_part(self) -> "Laurent":
-        """The terms with exponent >= 0."""
-        return Laurent._raw({e: x for e, x in self._c.items() if e >= 0})
-
-    def in_inverse_ring(self) -> bool:
-        """True if the element lies in Z[v^-1] (no positive powers).
-
-        >>> (V_INV + 3).in_inverse_ring(), V.in_inverse_ring()
-        (True, False)
-        """
-        d = self.degree()
-        return d is None or d <= 0
-
     def is_bar_antisymmetric(self) -> bool:
         """True if bar(self) == -self (so no constant term)."""
         return self.bar() == -self
-
-    def evaluate(self, x) -> Fraction:
-        """Exact value at v = x for a nonzero rational x."""
-        x = Fraction(x)
-        return sum((c * x**e for e, c in self._c.items()), Fraction(0))
 
     # -- comparison / hashing -----------------------------------------
 

@@ -35,8 +35,8 @@ long-lived table stores one object per distinct coefficient, and a
 Also here: the star anti-involution (vertical flip + label involution,
 bar on coefficients), the closure traces tr and tau = v^-n tr, the
 fusion twist (left-corner strands get multiplied by the group-like top
-basis element), juxtaposition of contexts, and the exposed subspace
-(diagrams whose decorated strands are all principal).
+basis element), and the exposed subspace (diagrams whose decorated
+strands are all principal).
 
 >>> from .verlinde import make_verlinde
 >>> ctx = Context(2, make_verlinde(3))
@@ -62,7 +62,6 @@ from .diagram import (
     matchings,
     stack_matchings,
     star_matching,
-    tensor_matched,
 )
 from .laurent import DELTA, Laurent, ONE, ZERO, dot, lincomb
 from .table_algebra import TableAlgebra, index_tuple, tuple_index, tuple_mul
@@ -465,22 +464,6 @@ def fusion_twist(x: Element) -> Element:
         ]
         pairs.append((1, {ctx._encode(matching, labels): c}))
     return Element._raw(ctx, lincomb(pairs))
-
-
-def tensor_elements(x: Element, y: Element, target: Context) -> Element:
-    """Juxtapose two elements side by side into the target context.
-
-    The target must have x.ctx.n + y.ctx.n strands and the same label
-    algebra; the map is an algebra embedding (checked in tests).
-    """
-    if target.n != x.ctx.n + y.ctx.n or target.alg != x.ctx.alg or target.alg != y.ctx.alg:
-        raise ValueError("target context does not match the juxtaposition")
-    inv, dx, dy = target.alg.inv, x.ctx.diagram, y.ctx.diagram
-    return Element._raw(target, lincomb(
-        (c1, {target.index(tensor_matched(dx(k1), dy(k2), inv)): c2})
-        for k1, c1 in x.terms.items()
-        for k2, c2 in y.terms.items()
-    ))
 
 
 def p_tensor_embed(ctx: Context, indices: tuple) -> LabeledDiagram:

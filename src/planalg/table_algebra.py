@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from numbers import Integral
 
-from .laurent import Laurent
-
 
 class TableAlgebra:
     """A based Z-algebra with nonnegative integer structure constants.
@@ -43,12 +41,17 @@ class TableAlgebra:
     __slots__ = ("rank", "identity", "inv", "labels", "rows")
 
     def __init__(self, rank, identity, inv, rows, labels=None):
+        inv = tuple(inv)
+        if not all(isinstance(k, Integral) for k in (rank, identity, *inv)):
+            raise TypeError("rank, identity and inv must be integers: "
+                            f"{rank}, {identity}, {inv}")
         self.rank = int(rank)
         self.identity = int(identity)
-        self.inv = tuple(inv)
+        self.inv = inv
         self.rows = {}
         for (i, j), row in rows.items():
-            bad = [k for k in (i, j, *row) if not 0 <= k < self.rank]
+            bad = [k for k in (i, j, *row)
+                   if not (isinstance(k, Integral) and 0 <= k < self.rank)]
             if bad:
                 raise ValueError(
                     f"structure constant of b{i} b{j} names index {bad[0]} "
@@ -92,25 +95,6 @@ class TableAlgebra:
                     else:
                         out.pop(m, None)
         return out
-
-    def bar_elt(self, x: dict) -> dict:
-        """Apply the anti-involution to a sparse element.
-
-        Coefficients that are Laurent polynomials are bar-conjugated as
-        well, so this is the natural semilinear star on the label ring.
-        """
-        out = {}
-        for i, c in x.items():
-            out[self.inv[i]] = c.bar() if isinstance(c, Laurent) else c
-        return out
-
-    def trace(self, x: dict):
-        """Coefficient of the identity basis element."""
-        return x.get(self.identity, 0)
-
-    def support(self, x: dict) -> frozenset:
-        """Basis indices with nonzero coefficient."""
-        return frozenset(i for i, c in x.items() if c)
 
     # -- axioms -----------------------------------------------------------
 
@@ -288,11 +272,6 @@ def check_algebra(alg: TableAlgebra) -> AlgebraCheck:
 
 
 # -- constructions ---------------------------------------------------------
-
-
-def trivial_algebra() -> TableAlgebra:
-    """The rank-1 algebra Z with basis {1}."""
-    return TableAlgebra(1, 0, (0,), {(0, 0): {0: 1}}, ("1",))
 
 
 def cyclic_group_algebra(n: int) -> TableAlgebra:

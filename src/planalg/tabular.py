@@ -155,18 +155,11 @@ class TabularDatum:
         halves = self.m_sets[lam]
         return halves[s], index_tuple(self.ctx.alg, b, lam), halves[t]
 
-    # -- a-function, products, trace -------------------------------------------
-
-    def a_value(self, d) -> int:
-        """Half the number of non-propagating edges of a basis diagram."""
-        return self.a_vals[self.index[d]]
+    # -- products and trace -------------------------------------------
 
     def product(self, i: int, j: int) -> dict:
         """Structure constants of basis[i] . basis[j], keyed by index."""
         return diagram_product(self.ctx, i, j)
-
-    def g_constant(self, i: int, j: int, k: int) -> Laurent:
-        return self.product(i, j).get(k, ZERO)
 
     def _tau_product(self, i: int, j: int) -> Laurent:
         """tau(basis[i] . basis[j]) through the product table."""
@@ -196,33 +189,6 @@ class TabularDatum:
     def form_basis(self, i: int, j: int) -> Laurent:
         """(basis[i], basis[j]) computed through the product table."""
         return self._tau_product(i, self.ctx.star_position(j))
-
-    def almost_orthonormal(self) -> bool:
-        """(X, X') = [X = X'] modulo v^-1 Z[v^-1] over basis pairs."""
-        for i, j in itertools.product(range(len(self.basis)), repeat=2):
-            if not vneg_congruent(self.form_basis(i, j), int(i == j)):
-                return False
-        return True
-
-    def gram_nondegenerate(self) -> bool:
-        """Certify det(Gram) != 0 by evaluation at v = 3 modulo a prime.
-
-        Almost-orthonormality already forces det = 1 + lower order, but
-        this check is independent of it: a nonzero determinant of the
-        evaluated matrix over GF(p) certifies the symbolic determinant
-        is nonzero.
-        """
-        prime = (1 << 61) - 1
-        size = len(self.basis)
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                val = self.form_basis(i, j).evaluate(3)
-                num, den = val.numerator, val.denominator
-                row.append(num * pow(den, -1, prime) % prime)
-            rows.append(row)
-        return _det_mod(rows, prime) != 0
 
     # -- axiom checks -------------------------------------------------------------
 
@@ -381,26 +347,6 @@ class TabularDatum:
                 witnesses.append(("a", "max degree != (n - lambda)/2", k, best[k]))
                 ok = False
         return ok
-
-
-def _det_mod(rows: list, p: int) -> int:
-    """Determinant of an integer matrix modulo a prime."""
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        inv = pow(rows[col][col], -1, p)
-        det = det * rows[col][col] % p
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
 
 
 # -- module-level interface -------------------------------------------------

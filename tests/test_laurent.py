@@ -70,21 +70,11 @@ def test_bar_swaps_v():
 def test_degree_of_product_adds(a, b):
     if a and b:
         assert (a * b).degree() == a.degree() + b.degree()
-        assert (a * b).valuation() == a.valuation() + b.valuation()
 
 
 def test_degree_of_zero_is_none():
     assert ZERO.degree() is None
-    assert ZERO.valuation() is None
     assert (V ** 3 + ONE).degree() == 3
-    assert (V ** 3 + V_INV).valuation() == -1
-
-
-def test_inverse_ring_membership():
-    assert ONE.in_inverse_ring()
-    assert V_INV.in_inverse_ring()
-    assert not V.in_inverse_ring()
-    assert not DELTA.in_inverse_ring()
 
 
 def test_vneg_congruence():
@@ -116,15 +106,9 @@ def test_vneg_congruence_refuses_non_integer_input(a, b):
 
 @given(laurents)
 def test_negative_part_splits(x):
-    assert x.negative_part() + x.nonnegative_part() == x
-    assert x.negative_part().in_inverse_ring()
     neg = x.negative_part()
     assert not neg or neg.degree() < 0
-
-
-def test_evaluate():
-    assert DELTA.evaluate(3) == Fraction(10, 3)
-    assert (V ** 2).evaluate(Fraction(1, 2)) == Fraction(1, 4)
+    assert all(e >= 0 for e, _ in (x - neg).items())
 
 
 @given(laurents, st.integers(0, 4))

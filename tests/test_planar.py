@@ -22,7 +22,6 @@ from planalg.planar import (
     fusion_twist,
     is_exposed,
     p_tensor_embed,
-    tensor_elements,
     trace_of_diagram,
     verify_tensor_iso,
 )
@@ -148,15 +147,6 @@ def test_fusion_twist_fixes_identity_labels(p33):
 @pytest.mark.parametrize("n,r", [(1, 1), (1, 3), (2, 2), (2, 3)])
 def test_tensor_embedding_matches_power_table(n, r):
     assert verify_tensor_iso(Context(n, make_verlinde(r)))
-
-
-def test_tensor_elements_agree_with_embedding():
-    src = Context(1, make_verlinde(3))
-    tgt = Context(2, make_verlinde(3))
-    x = src.basis_element(p_tensor_embed(src, (1,)))
-    y = src.basis_element(p_tensor_embed(src, (2,)))
-    got = tensor_elements(x, y, tgt)
-    assert got == tgt.basis_element(p_tensor_embed(tgt, (1, 2)))
 
 
 def test_diagram_product_and_trace_agree_with_elements(p22):

@@ -211,6 +211,9 @@ def test_conjecture_exit_zero():
     (("trace", "--n", "2", "--verlinde", "3"), "1 * n=2 | 1-2 3-4:\n"),
     (("trace", "--n", "2", "--verlinde", "3"), "1 * n=2 | 1-2:0 3-4:\n"),
     (("mul", "--n", "2", "--verlinde", "2"), "1 * n=2 | 1-4 2-3:0\n--\n" + IDENTITY_2),
+    # --nmax above MAX_N, refused before Catalan(n) * r^n is computed
+    (("drank", "--r", "32", "--nmax", "100000"), ""),
+    (("drank", "--r", "1", "--nmax", "4000000"), ""),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"

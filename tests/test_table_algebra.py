@@ -11,7 +11,6 @@ from planalg.table_algebra import (
     index_tuple,
     permutation_group_algebra,
     tensor,
-    trivial_algebra,
     tuple_index,
     tuple_mul,
 )
@@ -38,12 +37,6 @@ def test_permutation_group_passes():
     assert res.ok
     # transpositions are self-inverse, so inv fixes at least 4 indices
     assert sum(1 for i in range(6) if alg.inv[i] == i) == 4
-
-
-def test_trivial_algebra():
-    alg = trivial_algebra()
-    assert alg.rank == 1
-    assert check_algebra(alg).ok
 
 
 def test_broken_nonnegativity_is_flagged():
@@ -76,6 +69,8 @@ def test_broken_identity_is_flagged():
     {(0, 2): {0: 1}},
     {(-1, 0): {0: 1}},
     {(1, 1): {3: 1}},
+    {(0.5, 0): {0: 1}},
+    {(1, 1): {0.5: 1}},
 ])
 def test_out_of_range_structure_constants_are_refused(rows):
     with pytest.raises(ValueError, match="outside 0..1"):
@@ -89,14 +84,25 @@ def test_non_integral_structure_constants_are_refused(c):
         TableAlgebra(1, 0, (0,), {(0, 0): {0: c}})
 
 
+@pytest.mark.parametrize("rank, identity, inv", [
+    (2.7, 0, (0, 1)),
+    (2, 0.9, (0, 1)),
+    (2, 0, (0.0, 1.0)),
+    ("2", 0, (0, 1)),
+])
+def test_non_integral_rank_identity_and_inv_are_refused(rank, identity, inv):
+    # int() would read rank 2.7 as 2 and identity 0.9 as 0, and float inv
+    # entries passed construction only to break check() with a raw TypeError.
+    rows = cyclic_group_algebra(2).rows
+    with pytest.raises(TypeError, match="must be integers"):
+        TableAlgebra(rank, identity, inv, rows)
+
+
 def test_mul_trace_support():
     alg = cyclic_group_algebra(3)
     x = {1: 2, 2: 1}
     y = {1: 1}
     assert alg.mul(x, y) == {2: 2, 0: 1}
-    assert alg.trace(alg.mul(x, {2: 1})) == 2
-    assert alg.support({0: 0, 1: 5}) == frozenset({1})
-    assert alg.bar_elt({1: 3}) == {2: 3}
 
 
 def test_tensor_product_is_componentwise():
