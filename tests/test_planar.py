@@ -21,7 +21,6 @@ from planalg.planar import (
     diagram_product,
     fusion_twist,
     is_exposed,
-    p_tensor_embed,
     trace_of_diagram,
     verify_tensor_iso,
 )
