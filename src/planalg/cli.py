@@ -18,7 +18,7 @@ from .selftest import CHECKS, run_check
 from .table_algebra import TableAlgebra, check_algebra
 from .tabular import datum_build
 from .tl import tl
-from .verlinde import make_verlinde
+from .verlinde import make_verlinde, w_multiply
 
 
 #: Largest --n a context command accepts, and largest drank --nmax: a
@@ -196,6 +196,11 @@ def cmd_trace(args) -> int:
 
 def cmd_omega(args) -> int:
     ctx = _context(args)
+    try:  # the twist multiplies labels by the top basis element w
+        for label in range(ctx.alg.rank):
+            w_multiply(ctx.alg, label)
+    except ValueError as exc:
+        raise UsageError(f"omega: {exc}") from exc
     (x,) = _read_elements(ctx, args, 1)
     print(fusion_twist(x).to_text())
     return 0

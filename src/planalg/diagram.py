@@ -109,27 +109,21 @@ def _partial(points: tuple) -> list:
 
 
 def principal_pairs(matching) -> frozenset:
-    """The strands bounding the face at the left wall of the rectangle.
+    """The strands bounding the face at the left wall of the rectangle:
+    those not nested inside any other strand.
 
-    Walks the face of the gap between points 2n and 1: from a gap g the
-    walk meets the strand at point g+1 and continues at the gap after
-    its partner.  A strand is principal exactly when it is not nested
-    inside any other strand.
+    In sorted order a strand is nested exactly when an earlier strand
+    reaches past its start.
 
     >>> sorted(principal_pairs(((1, 2), (3, 6), (4, 5))))
     [(1, 2), (3, 6)]
     """
-    partner = partner_map(matching)
-    n2 = 2 * len(matching)
-    out = set()
-    g = 0
-    while True:
-        p = g + 1
-        q = partner[p]
-        out.add(_pair(p, q))
-        g = q % n2
-        if g == 0:
-            return frozenset(out)
+    out, reach = [], 0
+    for a, b in sorted(_pair(a, b) for a, b in matching):
+        if a > reach:
+            out.append((a, b))
+            reach = b
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

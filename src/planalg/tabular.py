@@ -29,8 +29,13 @@ failure:
       identity] modulo v^-1 Z[v^-1]; tau(x) = tau(x*), tau(xy) = tau(yx).
 
 The a-function is a(D) = (n - lambda)/2, half the number of
-non-propagating edges; in exhaustive mode the checker also confirms it
-equals the brute-force maximum of structure-constant degrees.
+non-propagating edges.  The checks are grouped by what they read.  One
+pass over the cells, with one star each, checks A2 and the per-cell half
+of A5 (the congruence and tau(x) = tau(x*)); A1 and A3 read the products
+a . X for the sampled rows a; one pass over the sampled pairs reads each
+product xy once for A4, for the tau(xy) side of A5 and for the largest
+degree at each Z, which over all pairs (exhaustive mode) is checked to
+be a(Z).  An axiom holds when it records no witness.
 
 >>> from .verlinde import make_verlinde
 >>> from .planar import Context
@@ -138,6 +143,9 @@ class TabularDatum:
         if None in self.cells:
             raise AssertionError("image of C is not the diagram basis")
         self.a_vals = [(n - lam) // 2 for lam, _, _, _ in self.cells]
+        self._unit_label = {
+            lam: tuple_index(alg, (alg.identity,) * lam) for lam in self.lambdas
+        }
         self._tau = None
 
     # -- the map C and its inverse ------------------------------------------
@@ -204,48 +212,50 @@ class TabularDatum:
             pairs = [
                 (rng.randrange(size), rng.randrange(size)) for _ in range(SAMPLES)
             ]
-        witnesses: list = []
-        a1 = self._check_a1(a_list, witnesses)
-        a2 = self._check_a2(witnesses)
-        a3 = self._check_a3(a_list, witnesses)
-        a4 = self._check_a4(pairs, witnesses)
-        a5 = self._check_a5(pairs, witnesses)
-        a_fn = self._check_a_function(witnesses) if exhaustive else True
-        return AxiomReport(a1, a2, a3, a4, a5, a_fn, exhaustive, witnesses)
+        found: dict = {name: [] for name in ("A1", "A2", "A3", "A4", "A5", "a")}
 
-    def _check_a1(self, a_list, witnesses) -> bool:
-        (one,) = self.ctx.one().terms
-        ok = True
-        n, alg = self.ctx.n, self.ctx.alg
-        if self.cells[one] != (n, 0, tuple_index(alg, (alg.identity,) * n), 0):
-            witnesses.append(("A1", "identity diagram is not C(0, 1, 0)"))
-            ok = False
-        for k in a_list:
-            if self.product(one, k) != {k: ONE} or self.product(k, one) != {k: ONE}:
-                witnesses.append(("A1", "identity fails as unit", self.basis[k]))
-                ok = False
-        return ok
+        def fail(name, *detail):
+            found[name].append((name, *detail))
 
-    def _check_a2(self, witnesses) -> bool:
-        ok, alg = True, self.ctx.alg
-        for k, (lam, s, b, t) in enumerate(self.cells):
-            bbar = tuple_index(alg, (alg.inv[x] for x in index_tuple(alg, b, lam)))
-            want = self.cell_pos[(lam, t, bbar, s)]
-            if self.ctx.star_position(k) != want:
-                witnesses.append(("A2", self.basis[k]))
-                ok = False
-        return ok
-
-    def _check_a3(self, a_list, witnesses) -> bool:
-        """r_a(S', S) exists, independent of T and of the tensor label."""
-        ok = True
+        self._check_a1(a_list, fail)
+        self._check_cells(fail)
         for ia in a_list:
             for lam in self.lambdas:
-                if not self._check_a3_layer(ia, lam, witnesses):
-                    ok = False
-        return ok
+                self._check_a3_layer(ia, lam, fail)
+        best = self._check_pairs(pairs, fail)
+        if exhaustive:
+            for k, deg in enumerate(best):
+                if deg != self.a_vals[k]:
+                    fail("a", "max degree != (n - lambda)/2", k, deg)
+        flags = [not witnesses for witnesses in found.values()]
+        return AxiomReport(*flags, exhaustive, sum(found.values(), []))
 
-    def _check_a3_layer(self, ia, lam, witnesses) -> bool:
+    def _check_a1(self, a_list, fail) -> None:
+        (one,) = self.ctx.one().terms
+        n = self.ctx.n
+        if self.cells[one] != (n, 0, self._unit_label[n], 0):
+            fail("A1", "identity diagram is not C(0, 1, 0)")
+        for k in a_list:
+            if self.product(one, k) != {k: ONE} or self.product(k, one) != {k: ONE}:
+                fail("A1", "identity fails as unit", self.basis[k])
+
+    def _check_cells(self, fail) -> None:
+        """A2 and the per-cell half of A5, with one star per cell."""
+        tau, alg = self.tau_vector(), self.ctx.alg
+        for k, (lam, s, b, t) in enumerate(self.cells):
+            star = self.ctx.star_position(k)
+            bbar = tuple_index(alg, (alg.inv[x] for x in index_tuple(alg, b, lam)))
+            if star != self.cell_pos[(lam, t, bbar, s)]:
+                fail("A2", self.basis[k])
+            want = int(s == t and b == self._unit_label[lam])
+            if not vneg_congruent(Laurent.v_power(self.a_vals[k]) * tau[k], want):
+                fail("A5", "trace congruence", self.basis[k])
+            if tau[k] != tau[star]:
+                fail("A5", "tau(x) != tau(x*)", self.basis[k])
+
+    def _check_a3_layer(self, ia, lam, fail) -> None:
+        """r_a(S', S) exists, independent of T and of the tensor label;
+        stops at the first witness in the layer."""
         alg = self.ctx.alg
         labels = range(alg.rank**lam)
         halves = range(len(self.m_sets[lam]))
@@ -258,19 +268,15 @@ class TabularDatum:
                     for kz, c in self.product(ia, k).items():
                         lz, sz, bz, tz = self.cells[kz]
                         if lz > lam:
-                            witnesses.append(("A3", "propagating count grew", kz))
-                            return False
+                            return fail("A3", "propagating count grew", kz)
                         if lz < lam:
                             continue
                         if tz != t:
-                            witnesses.append(
-                                ("A3", "bottom half changed", ia, k, kz)
-                            )
-                            return False
+                            return fail("A3", "bottom half changed", ia, k, kz)
                         decomp.setdefault(sz, {})[bz] = c
                     acc[(s, t, b)] = decomp
         for s in halves:
-            ref = acc[(s, 0, tuple_index(alg, (alg.identity,) * lam))]
+            ref = acc[(s, 0, self._unit_label[lam])]
             wants = []  # the reference expansion for each b, shared by every T
             for b in labels:
                 want = {
@@ -282,18 +288,18 @@ class TabularDatum:
                 for b, want in enumerate(wants):
                     if acc[(s, t, b)] != want:
                         hs, word, ht = self._triple(lam, s, b, t)
-                        witnesses.append(
-                            ("A3", "r_a depends on T or g", ia, hs, ht, word)
-                        )
-                        return False
-        return True
+                        return fail("A3", "r_a depends on T or g", ia, hs, ht, word)
 
-    def _check_a4(self, pairs, witnesses) -> bool:
-        ok, alg = True, self.ctx.alg
+    def _check_pairs(self, pairs, fail) -> list:
+        """A4 and tau(xy) = tau(yx) on each pair, reading product(i, j)
+        once; returns the largest degree seen at each basis index, which
+        over all pairs is the brute-force a-function."""
+        tau, alg = self.tau_vector(), self.ctx.alg
+        best = [None] * len(self.basis)
         for i, j in pairs:
             lam, s, b, t = self.cells[i]
             lam2, u, b2, vv = self.cells[j]
-            gid, expected = tuple_index(alg, (alg.identity,) * lam), {}
+            gid, expected = self._unit_label[lam], {}
             if lam == lam2 and t == u:
                 for b3 in tuple_mul(alg, b, b2, lam):
                     expected[self.cell_pos[(lam, s, b3, vv)]] = b3
@@ -302,51 +308,19 @@ class TabularDatum:
                 g = prod.get(k, ZERO)
                 a_k = self.a_vals[k]
                 deg = g.degree()
-                if deg is not None and deg > a_k:
-                    witnesses.append(("A4", "degree exceeds a(Z)", i, j, k))
-                    ok = False
+                if deg is not None:
+                    if deg > a_k:
+                        fail("A4", "degree exceeds a(Z)", i, j, k)
+                    if best[k] is None or deg > best[k]:
+                        best[k] = deg
                 gam_c = g.coeff(a_k)
                 if (gam_c != 0) != (k in expected):
-                    witnesses.append(("A4", "gamma support mismatch", i, j, k))
-                    ok = False
+                    fail("A4", "gamma support mismatch", i, j, k)
                 elif k in expected and gam_c != 1 and b == b2 == expected[k] == gid:
-                    witnesses.append(("A4", "gamma != 1 at identity", i, j))
-                    ok = False
-        return ok
-
-    def _check_a5(self, pairs, witnesses) -> bool:
-        tau = self.tau_vector()
-        ok, alg = True, self.ctx.alg
-        for k, (lam, s, b, t) in enumerate(self.cells):
-            want = int(s == t and b == tuple_index(alg, (alg.identity,) * lam))
-            val = Laurent.v_power(self.a_vals[k]) * tau[k]
-            if not vneg_congruent(val, want):
-                witnesses.append(("A5", "trace congruence", self.basis[k]))
-                ok = False
-            if tau[k] != tau[self.ctx.star_position(k)]:
-                witnesses.append(("A5", "tau(x) != tau(x*)", self.basis[k]))
-                ok = False
-        for i, j in pairs:
-            if self._tau_product(i, j) != self._tau_product(j, i):
-                witnesses.append(("A5", "tau(xy) != tau(yx)", i, j))
-                ok = False
-        return ok
-
-    def _check_a_function(self, witnesses) -> bool:
-        size = len(self.basis)
-        best = [None] * size
-        for i in range(size):
-            for j in range(size):
-                for k, g in self.product(i, j).items():
-                    deg = g.degree()
-                    if deg is not None and (best[k] is None or deg > best[k]):
-                        best[k] = deg
-        ok = True
-        for k in range(size):
-            if best[k] != self.a_vals[k]:
-                witnesses.append(("a", "max degree != (n - lambda)/2", k, best[k]))
-                ok = False
-        return ok
+                    fail("A4", "gamma != 1 at identity", i, j)
+            if dot((g, tau[k]) for k, g in prod.items()) != self._tau_product(j, i):
+                fail("A5", "tau(xy) != tau(yx)", i, j)
+        return best
 
 
 # -- module-level interface -------------------------------------------------

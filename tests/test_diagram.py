@@ -1,6 +1,7 @@
 """Non-crossing matchings, labeled diagrams, composition, half-diagrams."""
 
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -59,6 +60,22 @@ def test_edge_kinds_pinned():
     kinds = edge_kinds(identity_matching(3))
     assert all(k.propagating for k in kinds.values())
     assert kinds[(1, 6)].principal and not kinds[(2, 5)].principal
+
+
+#: sha256 of the edge kinds of every matching with n <= 8, recorded when
+#: principal strands were found by walking the left-wall face.
+EDGE_KINDS_DIGEST = "33f3b77116dc0d95071730b615b4a9c5c32a1edad1004fa59e37a499019ef387"
+
+
+def test_edge_kinds_digest_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 9):
+        for m in matchings(n):
+            digest.update(repr((m, sorted(edge_kinds(m).items()))).encode())
+            count += 1
+    assert count == 2055  # Catalan(1) + ... + Catalan(8)
+    assert digest.hexdigest() == EDGE_KINDS_DIGEST
 
 
 def test_principal_pairs_match_edge_kinds():

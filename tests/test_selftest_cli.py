@@ -121,6 +121,24 @@ def test_omega_moves_plain_cap():
     assert proc.stdout == "1 * n=2 | 1-2:2 3-4:2\n"
 
 
+@pytest.mark.parametrize("line", [
+    "1 * n=2 | 1-2:0 3-4:0",  # w * u_0 is one label, but w is refused anyway
+    "1 * n=2 | 1-2:2 3-4:0",  # w * w = u_0 + u_2 is two basis elements
+])
+def test_omega_refuses_a_top_element_that_is_not_group_like(tmp_path, line):
+    # V_3 with u_1 and u_2 swapped: a valid label algebra whose top basis
+    # element is u_1
+    v3, swap = make_verlinde(3), (0, 2, 1)
+    rows = {(swap[a], swap[b]): {swap[c]: m for c, m in row.items()}
+            for (a, b), row in v3.rows.items()}
+    path = tmp_path / "v3_top_u1.txt"
+    path.write_text(TableAlgebra(3, 0, (0, 1, 2), rows, ("u0", "u2", "u1")).to_text())
+    proc = run_cli("omega", "--n", "2", "--algebra", str(path), stdin=line + "\n")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("planalg: omega: top basis element is not group-like: "
+                           "w*b2 = {0: 1, 1: 1}\n")
+
+
 def test_axioms_machine_report():
     proc = run_cli("--machine", "axioms", "--n", "2", "--verlinde", "2")
     assert proc.returncode == 0

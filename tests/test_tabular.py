@@ -182,11 +182,15 @@ def test_doubling_identity(d22):
 # -- corrupted data must fail the axiom checks ------------------------------
 
 
-def _raise_coefficient(datum):
-    prod = dict(diagram_product(datum.ctx, 1, 3))
+def _add_to_product(datum, i, j, extra):
+    prod = dict(diagram_product(datum.ctx, i, j))
     k = min(prod)
-    prod[k] = prod[k] + V
-    datum.ctx._prod[(1, 3)] = prod
+    prod[k] = prod[k] + extra
+    datum.ctx._prod[(i, j)] = prod
+
+
+def _raise_coefficient(datum):
+    _add_to_product(datum, 1, 3, V)
 
 
 def _move_to_other_bottom_half(datum):
@@ -228,3 +232,37 @@ def test_corrupted_datum_fails_with_a_witness(corrupt, failing, witness):
     assert [name for name, ok in rep.flags().items() if not ok] == failing
     assert f"witness: {witness}" in rep.lines()
     assert not rep.ok
+
+
+@pytest.mark.parametrize("n,pair,extra,failing,witnesses", [
+    # sampled: (130, 125) is a pair drawn with seed 0, and 130 is one of
+    # the sampled a rows, so A3 reads the corrupted product too
+    (4, (130, 125), V, ["A3", "A4", "A5"], [
+        "('A3', 'r_a depends on T or g', 130, "
+        "HalfDiagram(n=4, arcs=((2, 3),), labels=(1,)), "
+        "HalfDiagram(n=4, arcs=((1, 2),), labels=(1,)), (1, 0))",
+        "('A4', 'gamma support mismatch', 130, 125, 131)",
+        "('A5', 'tau(xy) != tau(yx)', 130, 125)",
+    ]),
+    # exhaustive: a cap times a through diagram lands a layer below the
+    # through diagram, which A3 skips; v^2 lifts the degree past a(Z) = 1
+    (2, (1, 5), V * V, ["A4", "A5", "a_function"], [
+        "('A4', 'degree exceeds a(Z)', 1, 5, 0)",
+        "('A5', 'tau(xy) != tau(yx)', 1, 5)",
+        "('A5', 'tau(xy) != tau(yx)', 5, 1)",
+        "('a', 'max degree != (n - lambda)/2', 0, 2)",
+    ]),
+    # exhaustive: v^-1 leaves every degree and top coefficient alone, so
+    # only the trace of the product moves
+    (2, (1, 5), V_INV, ["A5"], [
+        "('A5', 'tau(xy) != tau(yx)', 1, 5)",
+        "('A5', 'tau(xy) != tau(yx)', 5, 1)",
+    ]),
+], ids=["sampled", "a_function", "tau_xy"])
+def test_corrupted_product_report_is_pinned(n, pair, extra, failing, witnesses):
+    datum = datum_build(Context(n, make_verlinde(2)))
+    _add_to_product(datum, *pair, extra)
+    rep = datum.axioms_check(seed=0)
+    assert rep.exhaustive == (len(datum.basis) <= EXHAUSTIVE_CAP)
+    assert [name for name, ok in rep.flags().items() if not ok] == failing
+    assert [repr(w) for w in rep.witnesses] == witnesses
