@@ -312,62 +312,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verlinde", help="print the fusion table algebra")
     sub.add_argument("r", type=int)
+    sub.set_defaults(run=cmd_verlinde)
 
     for name, exposed, what in (("basis", False, "list basis diagrams"),
                                 ("dbasis", True, "list the exposed sub-basis D(n, r)")):
         sub = subs.add_parser(name, help=what)
         _add_context_flags(sub)
-        sub.set_defaults(exposed=exposed)
+        sub.set_defaults(run=cmd_basis, exposed=exposed)
 
-    for name, count in (("mul", 2), ("star", 1), ("trace", 1), ("omega", 1)):
+    for name, run, count in (("mul", cmd_mul, 2), ("star", cmd_star, 1),
+                             ("trace", cmd_trace, 1), ("omega", cmd_omega, 1)):
         sub = subs.add_parser(name, help=f"{name} of parsed element(s)")
         _add_context_flags(sub)
         sub.add_argument("files", nargs="*",
                          help=f"{count} element file(s); default stdin")
+        sub.set_defaults(run=run)
 
     sub = subs.add_parser("axioms", help="run the cell-structure axiom checks")
     _add_context_flags(sub)
+    sub.set_defaults(run=cmd_axioms)
 
     sub = subs.add_parser("tlbasis", help="print the canonical quotient basis")
     _add_group_flags(sub)
+    sub.set_defaults(run=cmd_tlbasis)
 
     sub = subs.add_parser("embed", help="build and verify a diagram embedding")
     _add_group_flags(sub)
     sub.add_argument("--variant", help="generator labeling; defaults to --type")
+    sub.set_defaults(run=cmd_embed)
 
     sub = subs.add_parser("conjecture", help="check the canonical image map")
     _add_group_flags(sub)
+    sub.set_defaults(run=cmd_conjecture)
 
     sub = subs.add_parser("drank", help="exposed-subalgebra rank sequence")
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--nmax", type=int, required=True)
+    sub.set_defaults(run=cmd_drank)
 
     sub = subs.add_parser("selftest", help="run the verification battery")
     sub.add_argument("--only", help="comma-separated check numbers")
+    sub.set_defaults(run=cmd_selftest)
     return parser
-
-
-COMMANDS = {
-    "verlinde": cmd_verlinde,
-    "basis": cmd_basis,
-    "dbasis": cmd_basis,
-    "mul": cmd_mul,
-    "star": cmd_star,
-    "trace": cmd_trace,
-    "omega": cmd_omega,
-    "axioms": cmd_axioms,
-    "tlbasis": cmd_tlbasis,
-    "embed": cmd_embed,
-    "conjecture": cmd_conjecture,
-    "drank": cmd_drank,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"planalg: {exc}", file=sys.stderr)
         return 2

@@ -197,6 +197,8 @@ class Context:
             except ValueError as exc:
                 raise ValueError(f"{exc}: {raw!r}") from None
             pairs.append((1, {k: Laurent.parse(coeff_s)}))
+        if not pairs:
+            raise ValueError("element text has no '<coeff> * <diagram>' line")
         return Element._raw(self, lincomb(pairs))
 
 

@@ -34,7 +34,7 @@ class TableAlgebra:
     {0: 1}
     >>> z3.inv[1]
     2
-    >>> z3.check().ok
+    >>> check_algebra(z3).ok
     True
     """
 
@@ -95,11 +95,6 @@ class TableAlgebra:
                     else:
                         out.pop(m, None)
         return out
-
-    # -- axioms -----------------------------------------------------------
-
-    def check(self) -> "AlgebraCheck":
-        return check_algebra(self)
 
     # -- text form ----------------------------------------------------------
 
@@ -316,7 +311,7 @@ def tensor(a: TableAlgebra, b: TableAlgebra) -> TableAlgebra:
     label tuples by :func:`tuple_index`.
 
     >>> t = tensor(cyclic_group_algebra(2), cyclic_group_algebra(3))
-    >>> t.rank, t.check().ok
+    >>> t.rank, check_algebra(t).ok
     (6, True)
     """
     rb = b.rank

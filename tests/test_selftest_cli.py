@@ -93,6 +93,11 @@ def test_star_swaps_halves_and_bars_coefficients():
     assert again.stdout == "v * n=2 | 1-2:1 3-4:2\n"
 
 
+def test_zero_element_text_is_still_zero():
+    proc = run_cli("star", "--n", "2", "--verlinde", "2", stdin="0\n")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
 def test_verlinde_output_round_trips():
     proc = run_cli("verlinde", "3")
     assert proc.returncode == 0
@@ -232,6 +237,11 @@ def test_conjecture_exit_zero():
     # --nmax above MAX_N, refused before Catalan(n) * r^n is computed
     (("drank", "--r", "32", "--nmax", "100000"), ""),
     (("drank", "--r", "1", "--nmax", "4000000"), ""),
+    # element text with no '<coeff> * <diagram>' line; "0" is the zero element
+    (("trace", "--n", "2", "--verlinde", "2"), ""),
+    (("star", "--n", "2", "--verlinde", "2"), ""),
+    (("trace", "--n", "2", "--verlinde", "2"), "\n  \n"),
+    (("mul", "--n", "2", "--verlinde", "2"), "1 * n=2 | 1-2:0 3-4:0\n--\n"),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
     z33 = tmp_path / "z33.txt"
@@ -256,8 +266,11 @@ def test_axioms_at_rank_twelve_fit_in_one_gigabyte():
                    preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    for key in ("A1", "A2", "A3", "A4", "A5", "a_function"):
+    for key in ("A1", "A2", "A3", "A4", "A5"):
         assert f"{key}=True" in lines
+    # 8,640 diagrams: sampled, so the a-function is not checked or reported
+    assert "exhaustive=False" in lines
+    assert not [line for line in lines if line.startswith("a_function")]
 
 
 def test_closed_form_basis_size():
@@ -374,6 +387,8 @@ def test_check_table_consistency():
 # -- report output, byte for byte (timings masked) ------------------------------
 
 AXIOMS_FLAGS = ["A1", "A2", "A3", "A4", "A5", "a_function"]
+# a sampled report leaves out the a-function, which needs all pairs
+SAMPLED_FLAGS = AXIOMS_FLAGS[:-1]
 EMBED_B3 = """\
 variant=B
 group=B3
@@ -398,7 +413,7 @@ GOLDEN = [
     (("--machine", "axioms", "--n", "2", "--verlinde", "2"), 0,
      "".join(f"{k}=True\n" for k in AXIOMS_FLAGS) + "exhaustive=True\n"),
     (("--machine", "axioms", "--n", "4", "--verlinde", "2"), 0,
-     "".join(f"{k}=True\n" for k in AXIOMS_FLAGS) + "exhaustive=False\n"),
+     "".join(f"{k}=True\n" for k in SAMPLED_FLAGS) + "exhaustive=False\n"),
     (("embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
     (("--machine", "embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
     (("conjecture", "--type", "B", "--rank", "2"), 0, """\

@@ -14,7 +14,8 @@ from planalg.table_algebra import (
     tensor,
     tuple_index,
 )
-from planalg.tabular import EXHAUSTIVE_CAP, datum_build
+from planalg.selftest import _form_fixture
+from planalg.tabular import EXHAUSTIVE_CAP, TabularDatum, datum_build, prop434_test
 from planalg.verlinde import make_verlinde
 
 V_INV2 = Laurent.v_power(-2)
@@ -126,6 +127,49 @@ def test_sampled_mode_when_capped():
     rep = datum.axioms_check()
     assert rep.ok and rep.a_function_ok
     assert not rep.exhaustive
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exhaustive_pair_pass_forms_no_product_twice(monkeypatch, n):
+    # tau(yx) is read off the pass, which over all pairs reads (j, i) too
+    datum = datum_build(Context(n, make_verlinde(2)))
+    calls = []
+    real = TabularDatum._tau_product
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(TabularDatum, "_tau_product", counted)
+    rep = datum.axioms_check()
+    assert rep.ok and rep.exhaustive
+    assert calls == []
+
+
+def test_sampled_report_leaves_out_the_a_function(d22, d42):
+    sampled, exhaustive = d42.axioms_check(), d22.axioms_check()
+    assert not sampled.exhaustive and exhaustive.exhaustive
+    assert "a_function" not in sampled.flags()
+    for machine in (False, True):
+        assert not [line for line in sampled.lines(machine)
+                    if line.startswith("a_function")]
+    assert exhaustive.flags()["a_function"] is True
+    assert "a_function: ok" in exhaustive.lines()
+    assert "a_function=True" in exhaustive.lines(machine=True)
+
+
+@pytest.mark.parametrize("fam,rank,m", [("A", 3, 0), ("B", 3, 0), ("H", 3, 0), ("I", 2, 5)])
+def test_trichotomy_classifies_canonical_elements(fam, rank, m):
+    _, _, q, form = _form_fixture(fam, fam, rank, m)
+    cws = [q.canonical_t(w) for w in q.wc]
+    for cw in cws:
+        assert prop434_test(q, form, cw) == "is_plus_canonical"
+        assert prop434_test(q, form, q.scale(cw, -1)) == "is_minus_canonical"
+        assert prop434_test(q, form, q.scale(cw, 2)) == "neither"
+    for x, y in zip(cws, cws[1:]):
+        assert prop434_test(q, form, q.add(x, y)) == "neither"
+    for w in q.wc[1:]:
+        assert prop434_test(q, form, q.t(w)) == "neither"
 
 
 def test_pinned_form_values(d22):
