@@ -113,8 +113,8 @@ def _read_elements(ctx: Context, args, count: int) -> list:
             try:
                 with open(path, encoding="ascii") as fh:
                     texts.append(fh.read())
-            except OSError as exc:
-                raise UsageError(str(exc)) from exc
+            except (OSError, UnicodeDecodeError) as exc:
+                raise UsageError(f"{path}: {exc}") from exc
     else:
         blob = sys.stdin.read()
         texts = blob.split("\n--\n") if count > 1 else [blob]

@@ -8,8 +8,10 @@ action on Z/m for I_2(m).  Elements are the integers 0..order-1 ordered by
 (length, lexicographically least reduced word); index 0 is the
 identity.  The tables give right multiplication by generators,
 inverses, lengths and reduced words, which is everything the
-Hecke-algebra layer consumes.  There is no left table: left products
-come from right ones through the inverse, s w = (w^-1 s)^-1.
+Hecke-algebra layer consumes, with the alternating word s, t, s, ...
+of length m(s, t) (:meth:`CoxeterGroup.braid_word`).  There is no left
+table: left products come from right ones through the inverse,
+s w = (w^-1 s)^-1.
 
 Every generator is an involution, so the search computes each Cayley
 edge once: finding w s = x also fills x s = w.  Inverses come from
@@ -137,10 +139,13 @@ class CoxeterGroup:
         """Group indices of the parabolic subgroup generated by s and t."""
         return set(_bfs(2, 0, lambda w, k: self.right[w][(s, t)[k]])[0])
 
+    def braid_word(self, s: int, t: int) -> tuple:
+        """The alternating word s, t, s, ... of length m(s, t)."""
+        return tuple((s, t)[k % 2] for k in range(self.bonds[s][t]))
+
     def dihedral_longest(self, s: int, t: int) -> int:
-        """The longest element of the parabolic subgroup <s, t>."""
-        word = [s if k % 2 == 0 else t for k in range(self.bonds[s][t])]
-        return reduce(lambda a, g: self.right[a][g], word, 0)
+        """The longest element of <s, t>, read along :meth:`braid_word`."""
+        return reduce(lambda a, g: self.right[a][g], self.braid_word(s, t), 0)
 
 
 class PrefixTable(dict):

@@ -11,11 +11,13 @@ of a table algebra to each strand, stored relative to the canonical
 direction (reading a strand backwards reads the label through the
 algebra's anti-involution).
 
-This module is purely combinatorial: enumeration, edge classification,
-stacking two matchings into paths and closed loops and closing one
-matching into loops (both on one strand walker), and joining two
-half-diagrams along a horizontal cut.  The algebra (fusing the label
-word of each walked strand, loop scalars) lives in :mod:`planalg.planar`.
+This module is purely combinatorial: enumeration (``_matchings`` lists
+matchings and half-diagram arcs), edge classification, stacking two
+matchings into paths and closed loops and closing one matching into
+loops (both on one strand walker), and joining two half-diagrams along
+a horizontal cut (:func:`half_join`, which builds every labeled diagram
+made from parts).  The algebra (fusing the label word of each walked
+strand, loop scalars) lives in :mod:`planalg.planar`.
 
 >>> len(matchings(3))
 5
@@ -53,18 +55,20 @@ def matchings(n: int) -> tuple:
     >>> [len(matchings(n)) for n in range(1, 6)]
     [1, 2, 5, 14, 42]
     """
-    return tuple(sorted(_perfect(tuple(range(1, 2 * n + 1)))))
+    return tuple(sorted(_matchings(tuple(range(1, 2 * n + 1)), False)))
 
 
-def _perfect(points: tuple) -> list:
+def _matchings(points: tuple, partial: bool) -> list:
+    """Non-crossing matchings of points: the perfect ones, and when
+    ``partial`` also those leaving points unmatched with no arc over them."""
     if not points:
         return [()]
-    out = []
+    out = _matchings(points[1:], True) if partial else []
     a = points[0]
     for j in range(1, len(points), 2):
         arc = _pair(a, points[j])
-        for inner in _perfect(points[1:j]):
-            for outer in _perfect(points[j + 1 :]):
+        for inner in _matchings(points[1:j], False):
+            for outer in _matchings(points[j + 1 :], partial):
                 out.append(tuple(sorted((arc,) + inner + outer)))
     return out
 
@@ -84,25 +88,8 @@ def half_arcs(n: int, lam: int) -> tuple:
     """
     if lam < 0 or lam > n or (n - lam) % 2:
         raise ValueError(f"no half-diagrams on {n} points with {lam} through points")
-    want = (n - lam) // 2
-    return tuple(
-        sorted(arcs for arcs in _partial(tuple(range(1, n + 1))) if len(arcs) == want)
-    )
-
-
-def _partial(points: tuple) -> list:
-    if not points:
-        return [()]
-    out = []
-    a = points[0]
-    for rest in _partial(points[1:]):
-        out.append(rest)  # a is a through point; nothing may cover it
-    for j in range(1, len(points), 2):
-        arc = _pair(a, points[j])
-        for inner in _perfect(points[1:j]):
-            for outer in _partial(points[j + 1 :]):
-                out.append(tuple(sorted((arc,) + inner + outer)))
-    return out
+    want, arcs = (n - lam) // 2, _matchings(tuple(range(1, n + 1)), True)
+    return tuple(sorted(a for a in arcs if len(a) == want))
 
 
 # -- edge classification ------------------------------------------------------
@@ -252,23 +239,17 @@ def e_matching(n: int, k: int) -> tuple:
 
 
 def e_diagram(n: int, k: int, label: int, inv, identity_label: int = 0) -> LabeledDiagram:
-    """The cup-cap diagram with the top arc labeled ``label``.
+    """The cup-cap diagram C(S, 1...1, S) of :func:`half_join`, S the
+    top arc (k, k+1) labeled ``label``.
 
     The bottom arc carries the anti-involution partner of ``label`` (so
     the diagram is self-adjoint) and through strands carry the identity.
     ``inv`` is the label algebra's anti-involution permutation.
     """
-    m = e_matching(n, k)
-    top, bottom = (k, k + 1), (2 * n - k, 2 * n + 1 - k)
-    labels = []
-    for p in m:
-        if p == top:
-            labels.append(label)
-        elif p == bottom:
-            labels.append(inv[label])
-        else:
-            labels.append(identity_label)
-    return LabeledDiagram(m, tuple(labels))
+    if not 1 <= k < n:
+        raise ValueError(f"e_diagram needs 1 <= k < n, got k={k}, n={n}")
+    s = HalfDiagram(n, ((k, k + 1),), (label,))
+    return half_join(s, (identity_label,) * (n - 2), s, inv)
 
 
 @lru_cache(maxsize=None)

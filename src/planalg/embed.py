@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
@@ -193,13 +194,10 @@ class DiagramEmbedding:
         for s, im in enumerate(self._that):
             if im * im != im.scale(_Q - 1) + one.scale(_Q):
                 raise AssertionError(f"quadratic relation fails at generator {s}")
+        def braid(s, t):  # the image of T_s T_t T_s ..., m(s, t) factors
+            return reduce(lambda x, r: x * self._that[r], self.g.braid_word(s, t), one)
         for s, t in itertools.combinations(range(self.g.rank), 2):
-            m = self.g.bond(s, t)
-            left = right = one
-            for k in range(m):
-                left = left * self._that[s if k % 2 == 0 else t]
-                right = right * self._that[t if k % 2 == 0 else s]
-            if left != right:
+            if braid(s, t) != braid(t, s):
                 raise AssertionError(f"braid relation fails at pair ({s},{t})")
         for s, t in self.g.bond_pairs():
             total = self.rho_hecke(dict.fromkeys(self.g.dihedral_members(s, t), 1))

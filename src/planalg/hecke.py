@@ -3,8 +3,10 @@
 Elements are sparse dicts mapping group-element indices to Laurent
 coefficients in the T-basis, with q = v^2 and the defining recursion
 T_s T_w = T_{sw} when the length goes up and q T_{sw} + (q-1) T_w when
-it goes down.  The bar involution sends v to v^-1 and T_w to the
-inverse of T_{w^-1}; it is built incrementally along reduced words.
+it goes down.  :func:`mul_word` folds the algebra's ``mul_gen`` along a
+word, for H and the quotient alike.  The bar involution sends v to v^-1
+and T_w to the inverse of T_{w^-1}; it is built incrementally along
+reduced words.
 
 The Kazhdan-Lusztig basis C'_w of H and the canonical basis c_w of its
 Temperley-Lieb quotient come from one recursion (Kazhdan and Lusztig,
@@ -64,6 +66,14 @@ def bar_table(algebra) -> PrefixTable:
     """
     return PrefixTable(algebra.g, algebra.one(), lambda x, u, s: lincomb(
         ((_QINV, algebra.mul_gen(x, s)), (_QINV - ONE, x))))
+
+
+def mul_word(algebra, x: dict, word) -> dict:
+    """x T_{s1} ... T_{sk} for word = (s1, ..., sk), by ``algebra.mul_gen``
+    (a :class:`Hecke` or a Temperley-Lieb quotient)."""
+    for s in word:
+        x = algebra.mul_gen(x, s)
+    return x
 
 
 def canonical_step(algebra, table: PrefixTable, cu: dict, s: int, w: int, basis) -> dict:
@@ -204,15 +214,9 @@ class Hecke:
         return lincomb((c, {ws: ONE} if lengths[ws := right[w][s]] > lengths[w]
                         else {ws: _Q, w: q1}) for w, c in x.items())
 
-    def mul_t(self, x: dict, w: int) -> dict:
-        """Right multiplication x * T_w along a reduced word of w."""
-        for s in self.g.rwords[w]:
-            x = self.mul_gen(x, s)
-        return x
-
     def mul(self, x: dict, y: dict) -> dict:
-        """The product x * y, one :meth:`mul_t` per term of y."""
-        return lincomb((c, self.mul_t(x, w)) for w, c in y.items())
+        """The product x * y, one :func:`mul_word` along rwords[w] per T_w in y."""
+        return lincomb((c, mul_word(self, x, self.g.rwords[w])) for w, c in y.items())
 
     # -- bar involution ---------------------------------------------------
 

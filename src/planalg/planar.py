@@ -53,12 +53,13 @@ import itertools
 from numbers import Integral
 
 from .diagram import (
+    HalfDiagram,
     LabeledDiagram,
     closure_loops,
     e_diagram,
     edge_kinds,
+    half_join,
     identity_diagram,
-    identity_matching,
     matchings,
     stack_matchings,
     star_matching,
@@ -325,6 +326,11 @@ def is_exposed(d: LabeledDiagram, alg: TableAlgebra) -> bool:
     )
 
 
+def _same_context(a: Context, b: Context) -> bool:
+    """True when a and b are one object, or have equal n and label algebra."""
+    return a is b or (a.n == b.n and a.alg == b.alg)
+
+
 class Element:
     """A Z[v, v^-1]-combination of basis diagrams: ``terms`` is {position: Laurent}."""
 
@@ -355,8 +361,7 @@ class Element:
         return tuple(self.ctx.diagram(k) for k in sorted(self.terms))
 
     def _check_ctx(self, other: "Element"):
-        a, b = self.ctx, other.ctx
-        if a is not b and (a.n != b.n or a.alg != b.alg):
+        if not _same_context(self.ctx, other.ctx):
             raise ValueError("elements live in different contexts")
 
     def __add__(self, other):
@@ -401,11 +406,7 @@ class Element:
             return not self.terms
         if not isinstance(other, Element):
             return NotImplemented
-        return (
-            self.ctx.n == other.ctx.n
-            and self.ctx.alg == other.ctx.alg
-            and self.terms == other.terms
-        )
+        return _same_context(self.ctx, other.ctx) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ctx.n, tuple(sorted(self.terms.items()))))
@@ -471,14 +472,12 @@ def fusion_twist(x: Element) -> Element:
 def p_tensor_embed(ctx: Context, indices: tuple) -> LabeledDiagram:
     """The all-propagating diagram realizing a pure tensor of labels.
 
-    The k-th propagating strand (1-based, left to right) runs upward
-    exactly when k is odd, so storing indices[k-1] on odd strands and
-    its involute on even strands makes every strand spell its tensor
-    factor when read along the strand's own direction.  This map sends
-    the basis of the n-fold tensor power of the label algebra
-    bijectively onto the diagrams without arcs, and it multiplies:
-    stacking all-propagating diagrams creates no loops and fuses the
-    k-th strands with each other only.
+    It is the cell C(empty, indices, empty) of :func:`half_join`, whose
+    strands spell their tensor factors when read upward.  This map sends
+    the basis of the n-fold tensor power of the label algebra bijectively
+    onto the diagrams without arcs, and it multiplies: stacking
+    all-propagating diagrams creates no loops and fuses the k-th strands
+    with each other only.
 
     >>> from .verlinde import make_verlinde
     >>> ctx = Context(2, make_verlinde(3))
@@ -487,9 +486,8 @@ def p_tensor_embed(ctx: Context, indices: tuple) -> LabeledDiagram:
     """
     if len(indices) != ctx.n:
         raise ValueError("need one basis index per strand")
-    inv = ctx.alg.inv
-    labels = tuple(ix if k % 2 == 0 else inv[ix] for k, ix in enumerate(indices))
-    return LabeledDiagram(identity_matching(ctx.n), labels)
+    bare = HalfDiagram(ctx.n, (), ())
+    return half_join(bare, indices, bare, ctx.alg.inv)
 
 
 def verify_tensor_iso(ctx: Context) -> bool:

@@ -48,6 +48,10 @@ class TableAlgebra:
         self.rank = int(rank)
         self.identity = int(identity)
         self.inv = inv
+        if len(self.inv) != self.rank or sorted(self.inv) != list(range(self.rank)):
+            raise ValueError("inv must be a permutation of the basis indices")
+        if not 0 <= self.identity < self.rank:
+            raise ValueError("identity index out of range")
         self.rows = {}
         for (i, j), row in rows.items():
             bad = [k for k in (i, j, *row)
@@ -65,10 +69,6 @@ class TableAlgebra:
         if labels is None:
             labels = tuple(f"b{i}" for i in range(self.rank))
         self.labels = tuple(labels)
-        if len(self.inv) != self.rank or sorted(self.inv) != list(range(self.rank)):
-            raise ValueError("inv must be a permutation of the basis indices")
-        if not 0 <= self.identity < self.rank:
-            raise ValueError("identity index out of range")
         if len(self.labels) != self.rank:
             raise ValueError("need one label per basis element")
 

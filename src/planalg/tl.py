@@ -91,7 +91,7 @@ from functools import cached_property, lru_cache
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group, wc_classify
 from .hecke import (
     _Q, CanonicalInverse, Hecke, bar_apply, bar_table, canonical_coords, canonical_step,
-    hecke, to_unit,
+    hecke, mul_word, to_unit,
 )
 from .laurent import ONE, V_INV, lincomb
 
@@ -122,10 +122,10 @@ class TL:
     # -- construction ------------------------------------------------------
 
     def _braids(self) -> list:
-        """(word, others) per ordered bond pair (a, b): the alternating
-        word a, b, a, ... of w_ab and the other members of <a, b>."""
+        """(word, others) per ordered bond pair (a, b): the reduced word
+        ``g.braid_word(a, b)`` of w_ab and the other members of <a, b>."""
         g = self.g
-        return [([(a, b)[k % 2] for k in range(g.bonds[a][b])],
+        return [(g.braid_word(a, b),
                  [z for z in g.dihedral_members(a, b) if z != g.dihedral_longest(a, b)])
                 for s, t in g.bond_pairs() for a, b in ((s, t), (t, s))]
 
@@ -152,7 +152,7 @@ class TL:
                 x = g.right[x][r]
             else:
                 if x in pos:
-                    return lincomb((-1, self.mul_word({pos[x]: ONE}, g.rwords[z]))
+                    return lincomb((-1, mul_word(self, {pos[x]: ONE}, g.rwords[z]))
                                    for z in others)
         for r in g.right_descents(ys):
             y_r = g.right[y][r]
@@ -178,7 +178,7 @@ class TL:
                 raise AssertionError(f"quadratic relation fails at T_{s + 1}")
         for word, others in self._braids():
             words = [word] + [g.rwords[z] for z in others]
-            if lincomb((1, self.mul_word(one, z)) for z in words):
+            if lincomb((1, mul_word(self, one, z)) for z in words):
                 raise AssertionError(
                     f"generator of J along {''.join(str(r + 1) for r in word)} survives")
 
@@ -231,12 +231,6 @@ class TL:
     def mul_gen(self, x: dict, s: int) -> dict:
         """Right multiplication x T_s through the action table."""
         return lincomb((c, self._act[k][s]) for k, c in x.items())
-
-    def mul_word(self, x: dict, word) -> dict:
-        """Right multiplication by T_{s1} ... T_{sk} for word = (s1, ..., sk)."""
-        for s in word:
-            x = self.mul_gen(x, s)
-        return x
 
     def t_mul(self, ku: int, kw: int) -> dict:
         """Product t_u t_w of basis elements, by position.

@@ -152,6 +152,9 @@ def test_admissible_closed_under_multiplication(flavor, ctx):
     ("I", "I", 2, 3, 5),
     ("I", "I", 2, 4, 7),
     ("I", "I", 2, 5, 9),
+    ("uniform", "A", 2, 0, 5),
+    ("uniform", "B", 3, 0, 24),
+    ("uniform", "I", 2, 6, 11),
 ])
 def test_rho_bijections(variant, family, rank, m, count):
     rep = rho_build(variant, family, rank, m=m)
@@ -159,6 +162,16 @@ def test_rho_bijections(variant, family, rank, m, count):
     assert len(rep.images) == count
     assert rho_verify_bijection(rep)
     assert rep.image_matches
+
+
+def test_uniform_image_outside_the_exposed_basis_is_refused():
+    rep = rho_build("uniform", "A", 2)
+    ctx = rep.embedding.ctx
+    hidden = next(d for d in ctx.basis() if not is_exposed(d, ctx.alg))
+    rep.images[next(iter(rep.images))] = hidden
+    assert not rho_verify_bijection(rep)
+    assert not rep.image_matches
+    assert rep.witnesses == ["image leaves the exposed basis"]
 
 
 def test_h4_canonical_images_are_the_admissible_set():

@@ -27,6 +27,36 @@ U3_9 = "1 * n=9 | " + " ".join(f"{i}-{19 - i}:3" for i in range(1, 10)) + "\n"
 Z33_FILE = "<Z/33 table file>"
 # stands for a file holding the table of V_2, a valid label algebra
 V2_FILE = "<V_2 table file>"
+# stand for element files: the bytes ff fe, a label spelled with a
+# non-ASCII letter, the identity of P(2, r), a path that does not exist
+# and a directory
+BYTES_FILE = "<element file of bytes ff fe>"
+ACUTE_FILE = "<element file with an accented label>"
+IDENTITY_FILE = "<identity element file>"
+MISSING_FILE = "<missing element file>"
+DIR_FILE = "<directory>"
+# stand for the element files of the two-file mul golden row
+X_FILE = "<element file v * cap>"
+Y_FILE = "<element file 1 * labeled identity>"
+
+
+def _input_files(tmp_path) -> dict:
+    """Each file placeholder above mapped to a path written under tmp_path."""
+    texts = {
+        Z33_FILE: cyclic_group_algebra(MAX_RANK + 1).to_text().encode(),
+        V2_FILE: make_verlinde(2).to_text().encode(),
+        BYTES_FILE: b"\xff\xfe",
+        ACUTE_FILE: "1 * n=2 | 1-4:0 2-3:\u00e9\n".encode(),
+        IDENTITY_FILE: IDENTITY_2.encode(),
+        X_FILE: b"v * n=2 | 1-2:1 3-4:0\n",
+        Y_FILE: b"1 * n=2 | 1-4:1 2-3:1\n",
+    }
+    files = {MISSING_FILE: str(tmp_path / "missing.txt"), DIR_FILE: str(tmp_path)}
+    for k, (name, data) in enumerate(texts.items()):
+        path = tmp_path / f"input{k}.txt"
+        path.write_bytes(data)
+        files[name] = str(path)
+    return files
 
 TLBASIS_I24 = """\
 group: I2(4)
@@ -242,13 +272,24 @@ def test_conjecture_exit_zero():
     (("star", "--n", "2", "--verlinde", "2"), ""),
     (("trace", "--n", "2", "--verlinde", "2"), "\n  \n"),
     (("mul", "--n", "2", "--verlinde", "2"), "1 * n=2 | 1-2:0 3-4:0\n--\n"),
+    # element files that are not ASCII text
+    (("trace", "--n", "2", "--verlinde", "2", BYTES_FILE), ""),
+    (("trace", "--n", "2", "--verlinde", "2", ACUTE_FILE), ""),
+    # the context, group and count refusals
+    (("basis", "--n", "0", "--verlinde", "2"), ""),
+    (("basis", "--n", "2"), ""),
+    (("tlbasis", "--type", "X", "--rank", "2"), ""),
+    (("tlbasis", "--type", "A", "--rank", "2", "--m", "3"), ""),
+    (("verlinde", "0"), ""),
+    (("drank", "--r", "0", "--nmax", "3"), ""),
+    (("selftest", "--only", "x"), ""),
+    (("mul", "--n", "2", "--verlinde", "2", IDENTITY_FILE), ""),
+    (("star", "--n", "2", "--verlinde", "2", IDENTITY_FILE, IDENTITY_FILE), ""),
+    (("trace", "--n", "2", "--verlinde", "2", MISSING_FILE), ""),
+    (("trace", "--n", "2", "--verlinde", "2", DIR_FILE), ""),
 ])
 def test_usage_errors_exit_two(tmp_path, args, stdin):
-    z33 = tmp_path / "z33.txt"
-    z33.write_text(cyclic_group_algebra(MAX_RANK + 1).to_text())
-    v2 = tmp_path / "v2.txt"
-    v2.write_text(make_verlinde(2).to_text())
-    files = {Z33_FILE: str(z33), V2_FILE: str(v2)}
+    files = _input_files(tmp_path)
     args = [files.get(a, a) for a in args]
     proc = run_cli(*args, stdin=stdin)
     assert proc.returncode == 2
@@ -258,6 +299,25 @@ def test_usage_errors_exit_two(tmp_path, args, stdin):
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_non_ascii_element_file_is_named(tmp_path):
+    files = _input_files(tmp_path)
+    proc = run_cli("trace", "--n", "2", "--verlinde", "2", files[BYTES_FILE])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"planalg: {files[BYTES_FILE]}: 'ascii' codec")
+
+
+def test_huge_declared_rank_is_refused_within_one_gigabyte(tmp_path):
+    # the inv line lists one index, so the header is refused before one
+    # default label per declared basis index is made
+    path = tmp_path / "huge.txt"
+    path.write_text("rank 100000000 identity 0\ninv: 0\n")
+    proc = run_cli("basis", "--n", "1", "--algebra", str(path),
+                   preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == (
+        f"planalg: --algebra {path}: inv must be a permutation of the basis indices")
 
 
 def test_axioms_at_rank_twelve_fit_in_one_gigabyte():
@@ -416,6 +476,19 @@ GOLDEN = [
      "".join(f"{k}=True\n" for k in SAMPLED_FLAGS) + "exhaustive=False\n"),
     (("embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
     (("--machine", "embed", "--type", "B", "--rank", "3"), 0, EMBED_B3),
+    (("embed", "--type", "A", "--rank", "2", "--variant", "uniform"), 0, """\
+variant=uniform
+group=A2
+target=P(3,2)
+canonical_images=5
+single_unit=True
+injective=True
+image_matches=True
+bijection=True
+"""),
+    (("basis", "--n", "1", "--verlinde", "2"), 0, "n=1 | 1-2:0\nn=1 | 1-2:1\n"),
+    (("mul", "--n", "2", "--verlinde", "3", X_FILE, Y_FILE), 0,
+     "v * n=2 | 1-2:1 3-4:0\nv * n=2 | 1-2:1 3-4:2\n"),
     (("conjecture", "--type", "B", "--rank", "2"), 0, """\
 group=B2
 target=P(3,3)
@@ -444,8 +517,9 @@ def _mask_timings(text):
 
 @pytest.mark.parametrize("args,code,stdout", GOLDEN,
                          ids=[" ".join(args) for args, _, _ in GOLDEN])
-def test_report_output_is_pinned(args, code, stdout):
-    proc = run_cli(*args)
+def test_report_output_is_pinned(tmp_path, args, code, stdout):
+    files = _input_files(tmp_path)
+    proc = run_cli(*[files.get(a, a) for a in args])
     assert (proc.returncode, _mask_timings(proc.stdout)) == (code, stdout)
 
 
