@@ -116,7 +116,10 @@ def _read_elements(ctx: Context, args, count: int) -> list:
             except (OSError, UnicodeDecodeError) as exc:
                 raise UsageError(f"{path}: {exc}") from exc
     else:
-        blob = sys.stdin.read()
+        try:
+            blob = sys.stdin.buffer.read().decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"<stdin>: {exc}") from exc
         texts = blob.split("\n--\n") if count > 1 else [blob]
         if len(texts) != count:
             raise UsageError(

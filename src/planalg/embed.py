@@ -17,6 +17,21 @@ ideal.  Those checks make the descent to the quotient rigorous, and
 certificate that rho(t_u t_w) = rho(t_u) rho(t_w) on every basis pair,
 from products with a generator.
 
+The image of the canonical basis is built by the recursion that builds
+c_w in the quotient (:mod:`planalg.tl`), carried into the target:
+rho(c_us) = rho(c_u) E_s - sum of mu(z) rho(c_z) along g.prefix, with
+mu(z) read off c_u by :func:`planalg.hecke.mu_terms`, as the quotient's
+own step reads it.  Each step multiplies one image by E_s and subtracts
+a few images.  It is exact: the relation checks make rho an algebra map
+on the quotient, rho(b_s) = v^-1 (rho(T_s) + 1) = E_s, and c_us = c_u
+b_s - sum of mu(z) c_z holds in the quotient, so rho of both sides is
+the step.  The step does not test the shape of its result;
+:func:`rho_build` checks that each image is one diagram with
+coefficient 1, the paper's statement.  The expansion over the images of
+t_w (:meth:`DiagramEmbedding.rho`) serves
+:meth:`~DiagramEmbedding.verify_multiplicative`,
+:func:`conjecture_436_check` and the tests that hold the recursion to it.
+
 The admissible sets single out which labeled diagrams appear as images
 of the canonical basis: the three predicates match labels (read as
 decoration indices) against edge shape, and the canonical images are
@@ -40,7 +55,7 @@ from functools import reduce
 
 from .coxeter import CoxeterGroup, PrefixTable, coxeter_group
 from .diagram import LabeledDiagram, edge_kinds, partner_map
-from .hecke import _Q, hecke
+from .hecke import _Q, hecke, mu_terms
 from .laurent import ONE, V, lincomb
 from .planar import Context, Element, fusion_twist, is_exposed
 from .table_algebra import TableAlgebra
@@ -186,7 +201,7 @@ class DiagramEmbedding:
         ]
         self._that = [e.scale(V) - self.ctx.one() for e in self.gen_e]
         self._timage = PrefixTable(g, self.ctx.one(), lambda x, u, s: x * self._that[s])
-        self._rho_canonical: dict = {}
+        self._rho_canonical = PrefixTable(g, self.ctx.one(), self._canonical_step)
         self._verify_relations()
 
     def _verify_relations(self) -> None:
@@ -221,13 +236,18 @@ class DiagramEmbedding:
         wc = self.tl.wc
         return self.rho_hecke({wc[k]: c for k, c in x.items()})
 
+    def _canonical_step(self, x: Element, u: int, s: int) -> Element:
+        """rho(c_us) = rho(c_u) E_s - sum of mu(z) rho(c_z) (module docstring)."""
+        q = self.tl
+        return Element._raw(self.ctx, lincomb([(1, (x * self.gen_e[s]).terms), *(
+            (-mu, self._rho_canonical[z].terms)
+            for mu, z in mu_terms(self.g, q.canonical_t(u), s, q.wc))]))
+
     def rho_canonical(self, w: int) -> Element:
-        """Image of c_w, kept on first read; shared, like :meth:`t_image`,
-        so callers must not mutate it."""
-        hit = self._rho_canonical.get(w)
-        if hit is None:
-            hit = self._rho_canonical[w] = self.rho(self.tl.canonical_t(w))
-        return hit
+        """Image of c_w for w in W_c, by the recursion along g.prefix, kept
+        on first read; shared, like :meth:`t_image`, so callers must not
+        mutate it."""
+        return self._rho_canonical[w]
 
     def verify_multiplicative(self) -> bool:
         """Certify rho(t_u t_w) = rho(t_u) rho(t_w) for all u, w in W_c
@@ -293,18 +313,19 @@ def rho_build(variant: str, family: str, rank: int, m: int = 0) -> EmbeddingRepo
     for s in range(g.rank):
         if emb.rho(emb.tl.b(s)) != emb.gen_e[s]:
             raise AssertionError(f"generator image differs from E_{s + 1}")
-    images = {}
-    single = True
+    images, witnesses = {}, []
     for w in emb.tl.wc:
         el = emb.rho_canonical(w)
         terms = el.terms
         if len(terms) == 1 and next(iter(terms.values())) == ONE:
             (images[w],) = el.support()
         else:
-            single = False
+            witnesses.append(f"rho(c_{g.word(w)}) is not one unit diagram")
             break
+    single = not witnesses
     injective = single and len(set(images.values())) == len(images)
-    return EmbeddingReport(variant, g.name, emb, images, single, injective)
+    return EmbeddingReport(variant, g.name, emb, images, single, injective,
+                           witnesses=witnesses)
 
 
 def rho_verify_bijection(report: EmbeddingReport) -> bool:

@@ -18,9 +18,10 @@ for w = us with us > u,
 
 in the algebra's own basis T_y (or t_y), along g.prefix, where mu(z)
 is the coefficient of v^{-l(z)-1} of c_u at z (in H, the top
-coefficient of P_{z,u}).  :func:`canonical_step` forms c_u C'_s =
-v^-1 (c_u T_s + c_u) through the algebra's ``mul_gen``, the same call
-for H and the quotient, and does the rest for both.  Each c_w is
+coefficient of P_{z,u}), read by :func:`mu_terms`, which the diagram
+embedding's image recursion calls too.  :func:`canonical_step` forms
+c_u C'_s = v^-1 (c_u T_s + c_u) through the algebra's ``mul_gen``, the
+same call for H and the quotient, and does the rest for both.  Each c_w is
 bar-invariant by construction, since C'_s is and the mu(z) are
 integers, and in the unit coordinates e_y = v^{-l(y)} T_y of
 :func:`to_unit` must be e_w plus terms in v^-1 Z[v^-1], which makes it
@@ -76,25 +77,34 @@ def mul_word(algebra, x: dict, word) -> dict:
     return x
 
 
+def mu_terms(g: CoxeterGroup, cu: dict, s: int, basis):
+    """(mu(z), basis[z]) for each coordinate z of c_u with zs < z and
+    mu(z) != 0, where mu(z) is the coefficient of v^{-l(z)-1} of c_u at z:
+    the corrections of the step c_us = c_u C'_s - sum of mu(z) c_z."""
+    right, lengths = g.right, g.lengths
+    for z, c in cu.items():
+        y = basis[z]
+        if lengths[right[y][s]] < lengths[y] and (mu := c.coeff(-lengths[y] - 1)):
+            yield mu, y
+
+
 def canonical_step(algebra, table: PrefixTable, cu: dict, s: int, w: int, basis) -> dict:
     """c_w = c_u C'_s - sum of mu(z) c_z for w = us, c_u C'_s = v^-1 (c_u T_s + c_u).
 
     In the algebra's own basis, through ``algebra.mul_gen``: w is the
     coordinate of us, basis[z] the group element of coordinate z, and
-    table[basis[z]] is c_z, read on demand.  mu(z) is the coefficient of
-    v^{-l(z)-1} of c_u at each z with zs < z.  Such a z gets v c_u[z]
-    from its own drop, so the coefficient of v^{-l(z)} at z is mu(z) when
-    the step is right, and one pass reads every correction off c_u.
+    table[basis[z]] is c_z, read on demand, and the mu(z) come from
+    :func:`mu_terms`.  A z with zs < z gets v c_u[z] from its own drop,
+    so the coefficient of v^{-l(z)} at z is mu(z) when the step is
+    right, and one pass reads every correction off c_u.
     Raises ArithmeticError unless the result is v^{-l(w)} at w and of
     degree below -l(z) at every other z (e_w plus terms in v^-1 Z[v^-1]
     in unit coordinates), which checks each mu(z) against the product: a
     step that moves a v^{-l(z)} term is refused, not absorbed.
     """
-    right, lengths = table.g.right, table.g.lengths
+    lengths = table.g.lengths
     x = lincomb([(V_INV, algebra.mul_gen(cu, s)), (V_INV, cu), *(
-        (-mu, table[y]) for z, c in cu.items()
-        if lengths[right[y := basis[z]][s]] < lengths[y]
-        and (mu := c.coeff(-lengths[y] - 1)))])
+        (-mu, table[y]) for mu, y in mu_terms(table.g, cu, s, basis))])
     if (x.get(w) != Laurent.v_power(-lengths[basis[w]])
             or any(c.degree() >= -lengths[basis[z]] for z, c in x.items() if z != w)):
         raise ArithmeticError(

@@ -19,7 +19,10 @@ act is the right action of H on H/J (:meth:`TL._certify`): W_c is
 closed under inverses and prefixes, so with R_s = act[.][s], star(t_y)
 = t_{y^-1} and L_s = star R_s star, every t_y is t_1 R_y and L_y t_1.
 (1) Every L_s commutes with every R_r on every t_y, so a polynomial in
-the R_s that kills t_1 kills all t_y.  (2) The quadratic relations and
+the R_s that kills t_1 kills all t_y.  The equation at (y, s, r) is
+the star of the one at (y^-1, r, s), and star is an involution (the
+constructor checks that inverse is one on W_c), so one triple of each
+such pair is checked.  (2) The quadratic relations and
 the generator of J, with T_{w_st} along both of its reduced words (so
 the braid relation too), kill t_1.  So T_w -> t_1 T_w makes the free
 module on W_c a quotient of H/J, free of the same rank, hence H/J
@@ -106,8 +109,8 @@ class TL:
         self.rank = len(self.wc)
         self.pos = {w: k for k, w in enumerate(self.wc)}
         self.lengths = [g.lengths[w] for w in self.wc]
-        if any(g.inverse[w] not in self.pos or g.prefix(w)[0] not in self.pos
-               for w in self.wc[1:]):
+        if any(g.inverse[w] not in self.pos or g.inverse[g.inverse[w]] != w
+               or g.prefix(w)[0] not in self.pos for w in self.wc[1:]):
             raise AssertionError(
                 "fully commutative set not closed under inverses and prefixes")
         self._build_act()
@@ -162,14 +165,26 @@ class TL:
             f"complex element {g.word(ys)} ends in no braid and has no complex prefix")
 
     def _certify(self) -> None:
-        """Checks (1) and (2) of the module docstring."""
-        g, act, one = self.g, self._act, self.one()
+        """Checks (1) and (2) of the module docstring.
+
+        Check (1) at (k, s, r), y = wc[k], reads M[k][s][r] = (T_s t_y) T_r
+        = mul_gen(star(act[inv k][s]), r) and asks star(M[inv k][r][s]) =
+        M[k][s][r].  At (inv k, r, s) it asks the star of that equation,
+        and star is an involution (``__init__`` checks that inverse is one
+        on W_c), so one triple per orbit {(k, s, r), (inv k, r, s)} is
+        checked and both its products are formed on the spot: |W_c|
+        rank^2 products, plus rank per involution y, not two per triple.
+        """
+        g, act, one, rank = self.g, self._act, self.one(), self.g.rank
         for k, y in enumerate(self.wc):
-            for s in range(g.rank):
-                left = self.star(act[self.pos[g.inverse[y]]][s])  # T_s t_y
-                for r in range(g.rank):
-                    tr = self.star(act[k][r])  # star(t_y T_r)
-                    if self.star(self.mul_gen(tr, s)) != self.mul_gen(left, r):
+            ik = self.pos[g.inverse[y]]
+            if ik < k:
+                continue
+            rights = [self.star(row) for row in act[k]]  # T_r t_{y^-1}
+            for s in range(rank):
+                left = self.star(act[ik][s])  # T_s t_y
+                for r in range(s if ik == k else 0, rank):
+                    if self.star(self.mul_gen(rights[r], s)) != self.mul_gen(left, r):
                         raise AssertionError(
                             f"left action through star does not commute with "
                             f"T_{r + 1} at y = {g.word(y)}, s = {s + 1}")

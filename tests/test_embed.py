@@ -1,6 +1,8 @@
 """Diagram realizations of the generalized Temperley-Lieb algebras."""
 
 import copy
+import importlib
+import itertools
 
 import pytest
 
@@ -15,11 +17,16 @@ from planalg import (
     rho_build,
     rho_verify_bijection,
 )
+from planalg.coxeter import coxeter_group
 from planalg.diagram import LabeledDiagram
 from planalg.embed import is_b_admissible, is_h_admissible, is_i_admissible
-from planalg.laurent import V, lincomb
+from planalg.hecke import mu_terms
+from planalg.laurent import DELTA, V, lincomb
 from planalg.planar import fusion_twist, is_exposed
+from planalg.tl import tl
 
+
+EMBED_MODULE = importlib.import_module("planalg.embed")
 
 B3_CTX = Context(3, make_verlinde(3))
 H3_CTX = Context(3, make_verlinde(4))
@@ -217,14 +224,14 @@ def test_monomial_images_match_canonical_type_a():
     # For fully commutative elements in type A the canonical basis
     # element is the product of the generators along any reduced word,
     # so its image is the matching product of E-elements.
-    rep = rho_build("A", "A", 2)
-    emb = rep.embedding
-    g = emb.g
-    for w in emb.tl.wc:
-        prod = emb.ctx.one()
-        for s in g.rwords[w]:
-            prod = prod * emb.gen_e[s]
-        assert emb.rho_canonical(w) == prod
+    for rank in (2, 3, 4):
+        emb = rho_build("A", "A", rank).embedding
+        g = emb.g
+        for w in emb.tl.wc:
+            prod = emb.ctx.one()
+            for s in g.rwords[w]:
+                prod = prod * emb.gen_e[s]
+            assert emb.rho_canonical(w) == prod
 
 
 #: The ten embeddings of selftest checks 10 and 12.
@@ -232,9 +239,15 @@ EMBED_TYPES = [
     ("A", "A", 2, 0), ("A", "A", 3, 0), ("B", "B", 3, 0), ("H", "H", 3, 0),
 ] + [("I", "I", 2, m) for m in range(3, 9)]
 
+#: The uniform variant on the groups whose quotient certificate is counted.
+UNIFORM_TYPES = [("uniform", "A", 3, 0), ("uniform", "B", 3, 0), ("uniform", "H", 3, 0),
+                 ("uniform", "I", 2, 5), ("uniform", "A", 4, 0)]
 
-@pytest.mark.parametrize("variant,family,rank,m", EMBED_TYPES)
+
+@pytest.mark.parametrize("variant,family,rank,m", EMBED_TYPES + UNIFORM_TYPES)
 def test_rho_canonical_is_kept_and_matches_a_fresh_image(variant, family, rank, m):
+    # The oracle for the recursion: each image equals the expansion of
+    # c_w over the images of the t_y.
     emb = rho_build(variant, family, rank, m=m).embedding
     q = emb.tl
     for _ in range(2):
@@ -244,6 +257,41 @@ def test_rho_canonical_is_kept_and_matches_a_fresh_image(variant, family, rank, 
             fresh = {k: c.shift(-q.lengths[k]) for k, c in q.canonical_unit(w).items()}
             assert got == emb.rho(fresh)
     assert len(emb._rho_canonical) == q.rank
+
+
+@pytest.mark.parametrize("variant,family,rank,m", EMBED_TYPES)
+def test_canonical_images_absorb_their_right_descents(variant, family, rank, m):
+    # c_w b_s = (v + v^-1) c_w when ws < w, and rho(b_s) = E_s.
+    emb = rho_build(variant, family, rank, m=m).embedding
+    for w in emb.tl.wc:
+        image = emb.rho_canonical(w)
+        for s in emb.g.right_descents(w):
+            assert image * emb.gen_e[s] == image.scale(DELTA)
+
+
+@pytest.mark.parametrize("variant,family,rank,m", [
+    ("B", "B", 3, 0), ("H", "H", 3, 0), ("I", "I", 2, 5), ("uniform", "H", 3, 0),
+])
+def test_dropped_mu_correction_is_refused(monkeypatch, variant, family, rank, m):
+    """Dropping any one mu correction of the image recursion leaves an
+    image of two diagrams, which rho_build names."""
+    g = coxeter_group(family, rank, m)
+    q = tl(g)
+    count = sum(len(list(mu_terms(g, q.canonical_t(g.prefix(w)[0]), g.prefix(w)[1], q.wc)))
+                for w in q.wc[1:])
+    assert count
+    for target in range(count):
+        met = itertools.count()
+        monkeypatch.setattr(EMBED_MODULE, "mu_terms", lambda *args: [
+            t for t in mu_terms(*args) if next(met) != target])
+        rep = rho_build(variant, family, rank, m=m)
+        emb = rep.embedding
+        w = next(w for w in q.wc if w not in rep.images)
+        assert not rep.single_unit and not rep.injective
+        assert rep.witnesses == [f"rho(c_{g.word(w)}) is not one unit diagram"]
+        assert len(emb.rho_canonical(w).terms) == 2
+        assert emb.rho_canonical(w) != emb.rho(q.canonical_t(w))
+        assert not rho_verify_bijection(rep)
 
 
 def test_uniform_variant_agrees_with_specific():

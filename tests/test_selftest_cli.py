@@ -73,11 +73,12 @@ oracle: theta(C'_w) == c_w for all w
 
 
 def run_cli(*args, stdin="", preexec_fn=None):
+    """The CLI in a subprocess; bytes stdin gives bytes output."""
     return subprocess.run(
         [sys.executable, "-m", "planalg", *args],
         input=stdin,
         capture_output=True,
-        text=True,
+        text=not isinstance(stdin, bytes),
         preexec_fn=preexec_fn,
     )
 
@@ -306,6 +307,19 @@ def test_non_ascii_element_file_is_named(tmp_path):
     proc = run_cli("trace", "--n", "2", "--verlinde", "2", files[BYTES_FILE])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"planalg: {files[BYTES_FILE]}: 'ascii' codec")
+
+
+@pytest.mark.parametrize("command", ["trace", "star", "mul"])
+@pytest.mark.parametrize("line", [
+    "1 * n=2 | 1-4:\u0660 2-3:\u0660",  # Arabic-Indic zero as a label
+    "\u0967 * n=2 | 1-4:0 2-3:0",  # Devanagari one as a coefficient
+], ids=["label", "coefficient"])
+def test_non_ascii_digits_on_stdin_are_refused(command, line):
+    # int() reads any Unicode digit, so stdin must be ASCII, as a file is.
+    stdin = line + "\n" + ("--\n" + IDENTITY_2 if command == "mul" else "")
+    proc = run_cli(command, "--n", "2", "--verlinde", "2", stdin=stdin.encode())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"planalg: <stdin>: 'ascii' codec can't decode byte")
 
 
 def test_huge_declared_rank_is_refused_within_one_gigabyte(tmp_path):

@@ -470,11 +470,12 @@ def test_negated_boundary_row_is_refused(family, rank, m):
 
 
 @pytest.mark.parametrize("family,rank,m", [
-    ("A", 1, 0), ("A", 3, 0), ("B", 2, 0), ("I", 2, 5),
+    ("A", 1, 0), ("A", 3, 0), ("B", 2, 0), ("I", 2, 5), ("B", 3, 0), ("H", 3, 0),
 ])
 def test_negated_row_of_the_finished_table_is_refused(family, rank, m):
     # Rise, drop and boundary rows alike; in A1 only the quadratic
-    # relation sees a negated drop row.
+    # relation sees a negated drop row.  Check (1) visits one triple of
+    # each pair (y, s, r), (y^-1, r, s), so every row must still be seen.
     g = coxeter_group(family, rank, m)
     for k in range(tl(g).rank):
         for s in range(g.rank):
@@ -487,10 +488,49 @@ def test_negated_row_of_the_finished_table_is_refused(family, rank, m):
                 Negated(g)
 
 
+@pytest.mark.parametrize("family,rank,m,products", [
+    ("A", 3, 0, 144), ("B", 3, 0, 246), ("H", 3, 0, 432), ("I", 2, 5, 46), ("A", 4, 0, 712),
+])
+def test_commutation_check_forms_one_product_pair_per_orbit(family, rank, m, products):
+    """Check (1) makes N + F products: N = |W_c| rank^2, F = rank times
+    the number of involutions in W_c; two per triple would be 2N.
+
+    Its calls are those made before check (2) squares t_1 T_s, whose
+    first product reads the finished row act[0][0] itself.
+    """
+    class Counting(TL_MODULE.TL):
+        def _certify(self):
+            self.calls = []
+            super()._certify()
+
+        def mul_gen(self, x, s):
+            if hasattr(self, "calls"):
+                self.calls.append(x)
+            return super().mul_gen(x, s)
+
+    g = coxeter_group(family, rank, m)
+    q = Counting(g)
+    check_one = next(i for i, x in enumerate(q.calls) if x is q._act[0][0])
+    involutions = sum(g.inverse[w] == w for w in q.wc)
+    assert check_one == q.rank * g.rank ** 2 + g.rank * involutions == products
+
+
 def test_inverse_table_leaving_wc_is_refused(monkeypatch):
     g = coxeter_group("A", 2)
     inverse = list(g.inverse)
     inverse[g.right[0][0]] = g.order - 1  # the complex longest element
+    monkeypatch.setattr(g, "inverse", tuple(inverse))
+    with pytest.raises(AssertionError, match="closed under inverses"):
+        TL_MODULE.TL(g)
+
+
+def test_inverse_table_that_is_no_involution_is_refused(monkeypatch):
+    # Check (1) visits one triple of each pair that star exchanges, which
+    # is sound only when star is an involution.
+    g = coxeter_group("A", 3)
+    s1, s2, s3 = (g.right[0][s] for s in range(3))
+    inverse = list(g.inverse)
+    inverse[s1], inverse[s2], inverse[s3] = s2, s3, s1
     monkeypatch.setattr(g, "inverse", tuple(inverse))
     with pytest.raises(AssertionError, match="closed under inverses"):
         TL_MODULE.TL(g)
